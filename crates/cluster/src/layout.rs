@@ -32,9 +32,12 @@
 //! The layout is pure bookkeeping — every owned vertex appears in exactly one
 //! chunk (the property tests pin this), so execution results are unaffected;
 //! only the claim order and the work-per-claim distribution change. And because
-//! per-vertex estimates only move where a graph mutation changed a degree,
-//! [`GlobalChunkLayout::patched`] rebuilds just the dirty nodes' chunk lists
-//! after an edge batch instead of re-deriving the whole layout.
+//! per-vertex estimates and in-lists only move where a graph mutation touched
+//! a vertex, and the greedy chunker restarts at every chunk boundary,
+//! [`GlobalChunkLayout::patched`] updates the chunks holding an edge batch's
+//! dirty vertices in `O(1)` per vertex and re-derives only the few whose
+//! boundaries move (and the tail of appended ids), instead of the whole
+//! layout — or, on a one-node cluster, the whole node.
 
 use crate::stealing::{ScheduleOutcome, SchedulingPolicy};
 use slfe_graph::{Graph, VertexId};
@@ -86,17 +89,27 @@ impl WorkChunk {
     }
 }
 
-/// What [`GlobalChunkLayout::patched`] actually did — the proof that applying
-/// an update batch no longer pays an O(V+E) layout rebuild.
+/// What [`GlobalChunkLayout::patched`] actually did. Its work is
+/// `O(C log C)` for the claim-order sort over all `C` chunks, `O(1)` per
+/// dirty vertex, plus `vertices_scanned` vertices: on a one-node cluster as
+/// on many, a small batch re-scans the tail and a rare chunk, not the node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutPatchStats {
-    /// Nodes whose chunk lists were re-derived (dirty-endpoint owners).
-    pub nodes_rebuilt: usize,
-    /// Owned vertices scanned while re-deriving those lists — the patch's work
-    /// bound, compared to `|V| + |E|` for a from-scratch build.
+    /// Nodes that own a dirty or appended vertex — the only nodes whose
+    /// chunk lists were re-examined; every other node's chunks are copied.
+    pub nodes_patched: usize,
+    /// Owned vertices re-chunked from their degrees and in-lists: those of
+    /// chunks that no longer close where they did (or whose in-span may have
+    /// shrunk), of the chunks after them up to the next old boundary the
+    /// scan lands on, and of appended ids.
     pub vertices_scanned: usize,
-    /// Chunks copied verbatim from the previous layout.
+    /// Chunks whose boundaries carried over without a re-scan. A chunk that
+    /// holds a dirty vertex gets its estimate and in-span updated in `O(1)`
+    /// per dirty vertex.
     pub chunks_reused: usize,
+    /// Patched nodes whose split budget moved. Their chunks are re-checked
+    /// against the new budget in `O(1)` each, not re-scanned.
+    pub budget_changes: usize,
 }
 
 /// The degree-aware, cluster-wide chunk layout of one graph version.
@@ -108,54 +121,94 @@ pub struct GlobalChunkLayout {
     per_node: Vec<Vec<usize>>,
 }
 
-/// Cut one node's owned-vertex list into degree-aware chunks and append them to
-/// `out`. Shared verbatim by [`GlobalChunkLayout::build`] and
-/// [`GlobalChunkLayout::patched`] — byte-identical chunk lists are what make a
-/// patched layout `==` the from-scratch one.
-fn push_node_chunks(
+/// Estimated work of one vertex.
+fn estimate(graph: &Graph, v: VertexId) -> u64 {
+    1 + graph.in_degree(v) as u64 + graph.out_degree(v) as u64
+}
+
+/// A node's split budget: an even estimate share per base chunk, times the
+/// split factor. A chunk that would exceed it is cut early; a single hub
+/// larger than the whole budget becomes a one-vertex chunk.
+fn split_budget(total: u64, owned: usize, chunk_size: usize) -> u64 {
+    let base_chunks = owned.div_ceil(chunk_size) as u64;
+    (SPLIT_FACTOR * total.div_ceil(base_chunks)).max(1)
+}
+
+/// The greedy chunker: the chunk of `node` that starts at owned index
+/// `start`. It closes at `chunk_size` vertices, once its estimate reaches
+/// `budget`, or at the end of `owned` — whichever comes first — so a chunk
+/// depends only on where it starts, the budget and its own vertices. That is
+/// what lets [`GlobalChunkLayout::patched`] re-derive a few chunks and keep
+/// the rest, while both it and [`GlobalChunkLayout::build`] produce
+/// byte-identical chunk lists.
+fn scan_chunk(
     graph: &Graph,
     node: usize,
     owned: &[VertexId],
+    start: usize,
     chunk_size: usize,
-    out: &mut Vec<WorkChunk>,
-) {
-    if owned.is_empty() {
-        return;
-    }
-    let estimate = |v: VertexId| 1 + graph.in_degree(v) as u64 + graph.out_degree(v) as u64;
-    // Budget: an even estimate share per base chunk, times the split
-    // factor. A chunk that would exceed it is cut early; a single hub
-    // larger than the whole budget becomes a one-vertex chunk.
-    let total: u64 = owned.iter().map(|&v| estimate(v)).sum();
-    let base_chunks = owned.len().div_ceil(chunk_size) as u64;
-    let budget = (SPLIT_FACTOR * total.div_ceil(base_chunks)).max(1);
-    let mut start = 0usize;
+    budget: u64,
+) -> WorkChunk {
     let mut acc = 0u64;
     let mut in_start = VertexId::MAX;
     let mut in_end = 0 as VertexId;
-    for (idx, &v) in owned.iter().enumerate() {
-        acc += estimate(v);
-        for &u in graph.in_neighbors(v) {
-            in_start = in_start.min(u);
-            in_end = in_end.max(u + 1);
+    let mut end = start;
+    loop {
+        let v = owned[end];
+        acc += estimate(graph, v);
+        if let Some((lo, hi)) = graph.in_neighbor_span(v) {
+            in_start = in_start.min(lo);
+            in_end = in_end.max(hi);
         }
-        let len = idx + 1 - start;
-        if len == chunk_size || acc >= budget || idx + 1 == owned.len() {
-            out.push(WorkChunk {
-                node,
-                start,
-                end: idx + 1,
-                estimate: acc,
-                span_start: owned[start],
-                span_end: owned[idx] + 1,
-                in_start: if in_start < in_end { in_start } else { 0 },
-                in_end: if in_start < in_end { in_end } else { 0 },
-            });
-            start = idx + 1;
-            acc = 0;
-            in_start = VertexId::MAX;
-            in_end = 0;
+        end += 1;
+        if end - start == chunk_size || acc >= budget || end == owned.len() {
+            break;
         }
+    }
+    let has_in = in_start < in_end;
+    WorkChunk {
+        node,
+        start,
+        end,
+        estimate: acc,
+        span_start: owned[start],
+        span_end: owned[end - 1] + 1,
+        in_start: if has_in { in_start } else { 0 },
+        in_end: if has_in { in_end } else { 0 },
+    }
+}
+
+/// `true` when [`scan_chunk`] from `chunk.start` would still close exactly
+/// at `chunk.end`, now that the chunk's vertices' estimates sum to
+/// `estimate` and its last vertex's is `last`, under `budget` and an owned
+/// list of `owned_len`. Estimates are positive, so the running sum grows
+/// monotonically and the largest proper prefix (`estimate - last`) is the
+/// only one to check.
+fn still_closes(
+    chunk: &WorkChunk,
+    estimate: u64,
+    last: u64,
+    chunk_size: usize,
+    budget: u64,
+    owned_len: usize,
+) -> bool {
+    estimate - last < budget
+        && (chunk.len() == chunk_size || estimate >= budget || chunk.end == owned_len)
+}
+
+/// A chunk's in-neighbor span as an option (`None`: no in-edges).
+fn in_span(chunk: &WorkChunk) -> Option<(VertexId, VertexId)> {
+    (!chunk.has_no_in_edges()).then_some((chunk.in_start, chunk.in_end))
+}
+
+/// The smallest span covering both.
+fn span_union(
+    a: Option<(VertexId, VertexId)>,
+    b: Option<(VertexId, VertexId)>,
+) -> Option<(VertexId, VertexId)> {
+    match (a, b) {
+        (Some((a0, a1)), Some((b0, b1))) => Some((a0.min(b0), a1.max(b1))),
+        (a, b) => a.or(b),
     }
 }
 
@@ -178,33 +231,60 @@ impl GlobalChunkLayout {
         assert!(chunk_size >= 1, "chunk size must be positive");
         let mut chunks = Vec::new();
         for (node, owned) in owned_per_node.iter().enumerate() {
-            push_node_chunks(graph, node, owned, chunk_size, &mut chunks);
+            if owned.is_empty() {
+                continue;
+            }
+            let total = owned.iter().map(|&v| estimate(graph, v)).sum();
+            let budget = split_budget(total, owned.len(), chunk_size);
+            let mut start = 0;
+            while start < owned.len() {
+                let chunk = scan_chunk(graph, node, owned, start, chunk_size, budget);
+                start = chunk.end;
+                chunks.push(chunk);
+            }
         }
+        Self::from_chunks(chunks, owned_per_node.len())
+    }
+
+    /// Sort `chunks` into claim order and index them per node.
+    fn from_chunks(mut chunks: Vec<WorkChunk>, num_nodes: usize) -> Self {
         sort_chunks(&mut chunks);
-        let mut per_node = vec![Vec::new(); owned_per_node.len()];
+        let mut per_node = vec![Vec::new(); num_nodes];
         for (i, chunk) in chunks.iter().enumerate() {
             per_node[chunk.node].push(i);
         }
         Self { chunks, per_node }
     }
 
-    /// Re-derive this layout after a graph mutation whose changed degrees are
-    /// confined to `touched[node]` nodes: touched nodes' chunk lists are
-    /// rebuilt from their (possibly grown) owned lists, untouched nodes' chunks
-    /// are copied verbatim, and only the global claim order is re-sorted —
-    /// `O(Σ touched |owned| + touched edges + C log C)` instead of `O(V + E)`.
+    /// Re-derive this layout, built over `old_graph`, for `graph`: the same
+    /// vertices plus any appended ones, with every change of degree or
+    /// in-neighbor list confined to the `dirty` vertices.
     ///
-    /// The caller guarantees that every vertex whose in- or out-degree changed
-    /// (a dirty batch endpoint) — and every appended vertex — is owned by a
-    /// touched node, and that untouched nodes' owned lists are unchanged.
-    /// Under that contract the result is `==` to a from-scratch
-    /// [`GlobalChunkLayout::build`] on the new graph (property-tested).
+    /// Per node that owns a dirty or appended vertex, the estimate total
+    /// moves by the dirty vertices' estimate changes plus the appended
+    /// vertices' estimates, which gives the new split budget — `O(dirty)`,
+    /// never a scan of the node. The node's old chunks are then walked in
+    /// owned order. A chunk that starts where the walk stands and, with its
+    /// estimate moved by its dirty vertices, still closes at its old end
+    /// under the new budget is kept; its in-span is widened by its dirty
+    /// vertices' new in-neighbors, unless a dirty vertex that held one of
+    /// the span's ends lost that neighbor. Anywhere else [`scan_chunk`]
+    /// re-derives chunks until the walk lands on an old boundary again.
+    /// Appended ids extend the tail. Other nodes' chunks are copied, and the global claim order is
+    /// re-sorted.
+    ///
+    /// The caller guarantees that every vertex whose in- or out-degree or
+    /// in-neighbor list changed is in `dirty`, and that each owned list is
+    /// the old one with any appended vertices at its end. Under that
+    /// contract the result is `==` to a from-scratch
+    /// [`GlobalChunkLayout::build`] on `graph` (property-tested).
     pub fn patched(
         &self,
+        old_graph: &Graph,
         graph: &Graph,
         owned_per_node: &[&[VertexId]],
         chunk_size: usize,
-        touched: &[bool],
+        dirty: &[VertexId],
     ) -> (Self, LayoutPatchStats) {
         assert!(chunk_size >= 1, "chunk size must be positive");
         assert_eq!(
@@ -212,29 +292,97 @@ impl GlobalChunkLayout {
             self.per_node.len(),
             "patching cannot change the node count"
         );
-        assert_eq!(
-            touched.len(),
-            self.per_node.len(),
-            "one touched flag per node"
-        );
-        let mut stats = LayoutPatchStats::default();
-        let mut chunks = Vec::with_capacity(self.chunks.len());
-        for (node, owned) in owned_per_node.iter().enumerate() {
-            if touched[node] {
-                stats.nodes_rebuilt += 1;
-                stats.vertices_scanned += owned.len();
-                push_node_chunks(graph, node, owned, chunk_size, &mut chunks);
-            } else {
-                stats.chunks_reused += self.per_node[node].len();
-                chunks.extend(self.per_node[node].iter().map(|&i| self.chunks[i].clone()));
+        // Owned indices of the dirty vertices, per node.
+        let mut dirty_at = vec![Vec::new(); owned_per_node.len()];
+        for &v in dirty {
+            let found = owned_per_node
+                .iter()
+                .enumerate()
+                .find_map(|(node, owned)| Some((node, owned.binary_search(&v).ok()?)));
+            if let Some((node, idx)) = found {
+                dirty_at[node].push(idx);
             }
         }
-        sort_chunks(&mut chunks);
-        let mut per_node = vec![Vec::new(); owned_per_node.len()];
-        for (i, chunk) in chunks.iter().enumerate() {
-            per_node[chunk.node].push(i);
+        let mut stats = LayoutPatchStats::default();
+        let mut chunks = Vec::with_capacity(self.chunks.len() + 1);
+        for (node, owned) in owned_per_node.iter().enumerate() {
+            let mut old: Vec<&WorkChunk> = self.per_node[node]
+                .iter()
+                .map(|&i| &self.chunks[i])
+                .collect();
+            let old_len = old.iter().map(|c| c.len()).sum::<usize>();
+            assert!(owned.len() >= old_len, "owned lists only grow");
+            if dirty_at[node].is_empty() && owned.len() == old_len {
+                stats.chunks_reused += old.len();
+                chunks.extend(old.into_iter().cloned());
+                continue;
+            }
+            stats.nodes_patched += 1;
+            old.sort_unstable_by_key(|c| c.start);
+            // Per old chunk: the estimate change and the in-span its dirty
+            // vertices leave, or `rescan` when that span could have shrunk.
+            let mut delta = vec![0i64; old.len()];
+            let mut span: Vec<_> = old.iter().map(|c| in_span(c)).collect();
+            let mut rescan = vec![false; old.len()];
+            let old_total: u64 = old.iter().map(|c| c.estimate).sum();
+            let mut total = old_total as i64;
+            let dirty_idx = &mut dirty_at[node];
+            dirty_idx.sort_unstable();
+            let mut k = 0;
+            for &idx in dirty_idx.iter().filter(|&&idx| idx < old_len) {
+                while old[k].end <= idx {
+                    k += 1;
+                }
+                let v = owned[idx];
+                let change = estimate(graph, v) as i64 - estimate(old_graph, v) as i64;
+                delta[k] += change;
+                total += change;
+                let now = graph.in_neighbor_span(v);
+                if let (Some((was_lo, was_hi)), Some((lo, hi))) =
+                    (old_graph.in_neighbor_span(v), in_span(old[k]))
+                {
+                    let kept_lo = now.is_some_and(|(now_lo, _)| now_lo <= lo);
+                    let kept_hi = now.is_some_and(|(_, now_hi)| now_hi >= hi);
+                    rescan[k] |= (was_lo == lo && !kept_lo) || (was_hi == hi && !kept_hi);
+                }
+                span[k] = span_union(span[k], now);
+            }
+            total += owned[old_len..]
+                .iter()
+                .map(|&v| estimate(graph, v) as i64)
+                .sum::<i64>();
+            let budget = split_budget(total as u64, owned.len(), chunk_size);
+            if old_len > 0 && budget != split_budget(old_total, old_len, chunk_size) {
+                stats.budget_changes += 1;
+            }
+            let (mut pos, mut k) = (0, 0);
+            while pos < owned.len() {
+                while k < old.len() && old[k].start < pos {
+                    k += 1;
+                }
+                if let Some(&c) = old.get(k).filter(|c| c.start == pos && !rescan[k]) {
+                    let estimate_now = (c.estimate as i64 + delta[k]) as u64;
+                    let last = estimate(graph, owned[c.end - 1]);
+                    if still_closes(c, estimate_now, last, chunk_size, budget, owned.len()) {
+                        let (in_start, in_end) = span[k].unwrap_or((0, 0));
+                        stats.chunks_reused += 1;
+                        chunks.push(WorkChunk {
+                            estimate: estimate_now,
+                            in_start,
+                            in_end,
+                            ..c.clone()
+                        });
+                        pos = c.end;
+                        continue;
+                    }
+                }
+                let chunk = scan_chunk(graph, node, owned, pos, chunk_size, budget);
+                stats.vertices_scanned += chunk.len();
+                pos = chunk.end;
+                chunks.push(chunk);
+            }
         }
-        (Self { chunks, per_node }, stats)
+        (Self::from_chunks(chunks, owned_per_node.len()), stats)
     }
 
     /// All chunks, in execution (claim) order.
@@ -307,6 +455,7 @@ impl GlobalChunkLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slfe_graph::rng::SplitMix64;
     use slfe_graph::{generators, UpdateBatch};
 
     fn owned_split(n: usize, nodes: usize) -> Vec<Vec<VertexId>> {
@@ -452,75 +601,204 @@ mod tests {
         assert_eq!(sim.total_work, 0);
     }
 
-    /// Seeded-loop property test: over random graphs, random edge batches and
-    /// several topologies, patching the dirty-endpoint nodes must reproduce the
-    /// from-scratch layout exactly, while scanning only the touched nodes.
+    /// A batch over `g`'s id range (sometimes past it): inserts, and deletes
+    /// of existing edges.
+    fn random_batch(g: &slfe_graph::Graph, rng: &mut SplitMix64, ops: usize) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        let n = g.num_vertices() as u32;
+        for _ in 0..ops {
+            let src = rng.range_u32(0, n);
+            if rng.next_f64() < 0.7 {
+                // Occasionally grow the id space.
+                let hi = if rng.next_f64() < 0.2 { n + 5 } else { n };
+                batch.insert(src, rng.range_u32(0, hi), 1.0);
+            } else if let Some(&dst) = g.out_neighbors(src).first() {
+                batch.delete(src, dst);
+            }
+        }
+        batch
+    }
+
+    /// Patch `g`'s layout across `batch` (owned lists split contiguously,
+    /// appended vertices joining the last node) and check it against a
+    /// from-scratch build. Returns the stats and the number of old chunks
+    /// that held a dirty vertex.
+    fn patch_and_check(
+        g: &slfe_graph::Graph,
+        batch: &UpdateBatch,
+        nodes: usize,
+        chunk_size: usize,
+    ) -> (LayoutPatchStats, usize) {
+        let (mutated, effect) = g.apply_batch(batch);
+        let mut owned = owned_split(g.num_vertices(), nodes);
+        let old_layout = GlobalChunkLayout::build(g, &as_refs(&owned), chunk_size);
+        for v in g.num_vertices()..mutated.num_vertices() {
+            owned[nodes - 1].push(v as VertexId);
+        }
+        let refs = as_refs(&owned);
+        let (patched, stats) = old_layout.patched(g, &mutated, &refs, chunk_size, &effect.dirty);
+        let scratch = GlobalChunkLayout::build(&mutated, &refs, chunk_size);
+        assert_eq!(patched, scratch, "patched layout diverges");
+        let dirty_chunks = old_layout
+            .chunks()
+            .iter()
+            .filter(|c| {
+                owned[c.node][c.start..c.end]
+                    .iter()
+                    .any(|v| effect.dirty.binary_search(v).is_ok())
+            })
+            .count();
+        let touched_nodes = (0..nodes)
+            .filter(|&k| {
+                owned[k].len()
+                    > old_layout
+                        .node_chunks(k)
+                        .iter()
+                        .map(|&c| old_layout.chunks()[c].len())
+                        .sum()
+                    || owned[k]
+                        .iter()
+                        .any(|v| effect.dirty.binary_search(v).is_ok())
+            })
+            .count();
+        assert_eq!(stats.nodes_patched, touched_nodes);
+        assert!(stats.chunks_reused <= patched.chunks().len());
+        (stats, dirty_chunks)
+    }
+
+    /// Seeded-loop property test: over random (half of them remapped) graphs,
+    /// random edge batches and one to four nodes, the patched layout must
+    /// equal the from-scratch one.
     #[test]
     fn patched_layout_equals_from_scratch_on_random_batches() {
-        for seed in 0..6u64 {
-            let g = generators::rmat(900, 6300, 0.57, 0.19, 0.19, seed + 600);
-            let nodes = 2 + (seed as usize % 3);
-            let mut rng = slfe_graph::rng::SplitMix64::seed_from_u64(seed * 31 + 7);
-            let mut batch = UpdateBatch::new();
-            let n = g.num_vertices() as u32;
-            for _ in 0..1 + (seed as usize % 20) {
-                let src = rng.range_u32(0, n);
-                if rng.next_f64() < 0.7 {
-                    // Occasionally grow the id space.
-                    let hi = if rng.next_f64() < 0.2 { n + 5 } else { n };
-                    batch.insert(src, rng.range_u32(0, hi), 1.0);
-                } else if let Some(&dst) = g.out_neighbors(src).first() {
-                    batch.delete(src, dst);
+        for seed in 0..24u64 {
+            let mut g = generators::rmat(900, 6300, 0.57, 0.19, 0.19, seed + 600);
+            let nodes = 1 + (seed as usize % 4);
+            let chunk_size = [64, 16, 7][seed as usize % 3];
+            let mut rng = SplitMix64::seed_from_u64(seed * 31 + 7);
+            if seed % 2 == 1 {
+                // Remapped lists are sorted by external id, so in-spans
+                // come from a scan of the list rather than its ends.
+                let mut forward: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+                for i in (1..forward.len()).rev() {
+                    forward.swap(i, rng.range_u32(0, i as u32 + 1) as usize);
                 }
+                g = g.remapped(&slfe_graph::IdRemap::from_forward(forward));
             }
-            let (mutated, effect) = g.apply_batch(&batch);
-
-            // A stable partitioning across the mutation: the old split, with
-            // appended vertices joining the last node.
-            let mut owned = owned_split(g.num_vertices(), nodes);
-            let old_layout = GlobalChunkLayout::build(&g, &as_refs(&owned), 64);
-            for v in g.num_vertices()..mutated.num_vertices() {
-                owned[nodes - 1].push(v as VertexId);
-            }
-            let mut touched = vec![false; nodes];
-            if mutated.num_vertices() > g.num_vertices() {
-                touched[nodes - 1] = true;
-            }
-            let owner = |v: VertexId| {
-                owned
-                    .iter()
-                    .position(|o| o.binary_search(&v).is_ok())
-                    .expect("every vertex owned")
-            };
-            for &v in &effect.dirty {
-                touched[owner(v)] = true;
-            }
-
-            let refs = as_refs(&owned);
-            let (patched, stats) = old_layout.patched(&mutated, &refs, 64, &touched);
-            let scratch = GlobalChunkLayout::build(&mutated, &refs, 64);
-            assert_eq!(patched, scratch, "seed {seed}: patched layout diverges");
-            let touched_vertices: usize = owned
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| touched[*k])
-                .map(|(_, o)| o.len())
-                .sum();
-            assert_eq!(stats.vertices_scanned, touched_vertices);
-            assert_eq!(stats.nodes_rebuilt, touched.iter().filter(|&&t| t).count());
+            let batch = random_batch(&g, &mut rng, 1 + (seed as usize % 40));
+            patch_and_check(&g, &batch, nodes, chunk_size);
         }
     }
 
+    /// On one node every batch touches the only node, yet a two-edge batch
+    /// re-scans a few chunks around its endpoints, not the node's vertices.
     #[test]
-    fn patching_no_touched_nodes_is_identity_and_free() {
-        let g = generators::rmat(600, 4000, 0.57, 0.19, 0.19, 3);
-        let owned = owned_split(g.num_vertices(), 4);
-        let refs = as_refs(&owned);
-        let layout = GlobalChunkLayout::build(&g, &refs, 64);
-        let (same, stats) = layout.patched(&g, &refs, 64, &[false; 4]);
-        assert_eq!(same, layout);
-        assert_eq!(stats.nodes_rebuilt, 0);
+    fn one_node_patches_scan_only_the_dirty_chunks() {
+        let chunk_size = 64;
+        for seed in 0..8u64 {
+            let g = generators::rmat(6000, 48000, 0.57, 0.19, 0.19, seed + 40);
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let n = g.num_vertices() as u32;
+            let mut batch = UpdateBatch::new();
+            batch.insert(rng.range_u32(0, n), rng.range_u32(0, n), 2.0);
+            let src = rng.range_u32(0, n);
+            match g.out_neighbors(src).first() {
+                Some(&dst) => batch.delete(src, dst),
+                None => batch.insert(src, rng.range_u32(0, n), 3.0),
+            };
+            let (stats, dirty_chunks) = patch_and_check(&g, &batch, 1, chunk_size);
+            assert_eq!(stats.nodes_patched, 1);
+            assert!(dirty_chunks <= 4);
+            assert!(
+                stats.vertices_scanned <= chunk_size * dirty_chunks,
+                "seed {seed}: scanned {} vertices for {dirty_chunks} dirty chunks",
+                stats.vertices_scanned
+            );
+            assert!(stats.chunks_reused > 0);
+        }
+    }
+
+    /// A batch that moves the node's split budget: clean chunks are
+    /// re-checked against it, and the result is still the from-scratch one.
+    #[test]
+    fn budget_changing_batches_still_patch_to_the_from_scratch_layout() {
+        let g = generators::rmat(2000, 16000, 0.57, 0.19, 0.19, 77);
+        let n = g.num_vertices() as u32;
+        for (nodes, fan_out) in [(1, 1500u32), (1, 300), (2, 900), (3, 2000)] {
+            // One vertex gains `fan_out` out-edges: the node's estimate total
+            // (and so its budget) moves by about twice that.
+            let mut batch = UpdateBatch::new();
+            for k in 0..fan_out {
+                batch.insert(7, (k * 13 + 1) % n, 1.0);
+            }
+            let (stats, _) = patch_and_check(&g, &batch, nodes, 64);
+            assert!(
+                stats.budget_changes >= 1,
+                "{nodes} nodes, fan-out {fan_out}"
+            );
+        }
+        // Growth alone moves the base-chunk count, and with it the budget.
+        let mut batch = UpdateBatch::new();
+        batch.insert(3, n + 150, 1.0);
+        let (stats, _) = patch_and_check(&g, &batch, 1, 64);
+        assert!(stats.budget_changes >= 1);
+    }
+
+    /// A chunk's in-span shrinks only when the vertex holding one of its ends
+    /// loses that in-neighbor; the patch must notice and re-scan, and must
+    /// widen the span in place when a dirty vertex gains a farther one.
+    #[test]
+    fn in_span_ends_follow_deleted_and_inserted_in_neighbors() {
+        let mut b = slfe_graph::GraphBuilder::new();
+        b.extend_weighted((0..15u32).map(|v| (v, v + 1, 1.0)));
+        b.extend_weighted([(0, 10, 1.0), (2, 10, 1.0)]);
+        let g = b.build();
+        let chunk_of_10 = |layout: &GlobalChunkLayout| {
+            layout
+                .chunks()
+                .iter()
+                .find(|c| (c.start..c.end).contains(&10))
+                .map(|c| (c.in_start, c.in_end))
+                .unwrap()
+        };
+        let owned: Vec<VertexId> = (0..16).collect();
+        assert_eq!(
+            chunk_of_10(&GlobalChunkLayout::build(&g, &[&owned], 4)).0,
+            0
+        );
+        // Vertex 10 loses the in-neighbor that held the span's start, but a
+        // farther-right one of its in-neighbors (2) is no help: re-scan.
+        let mut batch = UpdateBatch::new();
+        batch.delete(0, 10);
+        let (stats, _) = patch_and_check(&g, &batch, 1, 4);
+        assert!(
+            stats.vertices_scanned >= 4,
+            "the shrunk span was not re-scanned"
+        );
+        // Losing an in-neighbor strictly inside the span changes nothing.
+        let mut batch = UpdateBatch::new();
+        batch.delete(9, 10);
+        let (stats, _) = patch_and_check(&g, &batch, 1, 4);
         assert_eq!(stats.vertices_scanned, 0);
-        assert_eq!(stats.chunks_reused, layout.chunks().len());
+        // A new far in-neighbor widens the span without a re-scan.
+        let mut batch = UpdateBatch::new();
+        batch.insert(15, 9, 1.0);
+        let (stats, _) = patch_and_check(&g, &batch, 1, 4);
+        assert_eq!(stats.vertices_scanned, 0);
+    }
+
+    #[test]
+    fn patching_with_no_dirty_vertices_is_identity_and_free() {
+        for nodes in [1, 4] {
+            let g = generators::rmat(600, 4000, 0.57, 0.19, 0.19, 3);
+            let owned = owned_split(g.num_vertices(), nodes);
+            let refs = as_refs(&owned);
+            let layout = GlobalChunkLayout::build(&g, &refs, 64);
+            let (same, stats) = layout.patched(&g, &g, &refs, 64, &[]);
+            assert_eq!(same, layout);
+            assert_eq!(stats.nodes_patched, 0);
+            assert_eq!(stats.vertices_scanned, 0);
+            assert_eq!(stats.chunks_reused, layout.chunks().len());
+        }
     }
 }

@@ -425,14 +425,17 @@ pub struct SlfeEngine<'g> {
     graph: &'g Graph,
     cluster: Cluster,
     config: EngineConfig,
-    rrg: RrGuidance,
+    /// Shared, not copied: the serving path hands every version's engine
+    /// the guidance it already holds.
+    rrg: Arc<RrGuidance>,
     /// The persistent worker pool: `total_workers` threads spawned once here
     /// (or inherited via [`SlfeEngine::with_cluster_guidance_and_pool`]) and
     /// reused by every phase of every run, including RRG preprocessing.
     pool: Arc<WorkerPool>,
     /// Degree-aware, cluster-wide chunk layout (built once per graph version,
-    /// or patched from the previous version's layout by the serving path).
-    layout: GlobalChunkLayout,
+    /// or patched from the previous version's layout by the serving path,
+    /// which shares it with the engine instead of copying it).
+    layout: Arc<GlobalChunkLayout>,
     /// Per chunk of `layout`: `(min, max)` of the guidance's `last_iter` over
     /// the chunk's vertices. A min/max pull at `iter < min` would gate every
     /// vertex individually, so the whole chunk is skipped; a pull (or full
@@ -451,10 +454,6 @@ pub struct SlfeEngine<'g> {
     /// difference is which bytes are resident (and the
     /// `segments_faulted`/`segment_bytes_read` counters).
     storage: Option<Arc<GraphStorage>>,
-    /// Per-vertex degree arrays handed to program callbacks in place of the
-    /// in-RAM graph ([`crate::GraphProgram`] hooks take `&Degrees`): two `u32`
-    /// per vertex, indexed by physical id. Built once per engine.
-    degrees: Degrees,
     /// Telemetry hub (span tracing + latency histograms), built from
     /// `config.telemetry` and attached to the storage buffer pool when one is
     /// present. Disabled by default; the disabled hub's begin/end are no-ops
@@ -535,7 +534,15 @@ impl<'g> SlfeEngine<'g> {
                     .expect("failed to write out-of-core graph segments"),
             )
         });
-        Self::with_prebuilt_layout_and_storage(graph, cluster, config, rrg, pool, layout, storage)
+        Self::with_prebuilt_layout_and_storage(
+            graph,
+            cluster,
+            config,
+            Arc::new(rrg),
+            pool,
+            Arc::new(layout),
+            storage,
+        )
     }
 
     /// [`SlfeEngine::with_prebuilt_layout`] reusing an existing out-of-core
@@ -545,14 +552,15 @@ impl<'g> SlfeEngine<'g> {
     /// the patched generation here, so applying a batch re-encodes `O(dirty
     /// segments)` bytes rather than the whole graph. `storage`, when present,
     /// must cover the engine's graph; when `None` the engine runs in-memory
-    /// regardless of what the configuration requests.
+    /// regardless of what the configuration requests. The guidance and the
+    /// layout are shared with the caller, never copied.
     pub fn with_prebuilt_layout_and_storage(
         graph: &'g Graph,
         cluster: Cluster,
         config: EngineConfig,
-        rrg: RrGuidance,
+        rrg: Arc<RrGuidance>,
         pool: Arc<WorkerPool>,
-        layout: GlobalChunkLayout,
+        layout: Arc<GlobalChunkLayout>,
         storage: Option<Arc<GraphStorage>>,
     ) -> Self {
         if let Some(storage) = &storage {
@@ -610,7 +618,6 @@ impl<'g> SlfeEngine<'g> {
             layout,
             chunk_rr: std::sync::OnceLock::new(),
             storage,
-            degrees: Degrees::of(graph),
             telemetry,
             preprocessing_seconds,
             // No guidance BFS ran inside this constructor.
@@ -620,7 +627,7 @@ impl<'g> SlfeEngine<'g> {
 
     /// The per-vertex degree view handed to program callbacks.
     pub fn degrees(&self) -> &Degrees {
-        &self.degrees
+        self.graph.degrees()
     }
 
     /// Replace the telemetry hub — the serving path: `DeltaServer` keeps one
@@ -711,9 +718,11 @@ impl<'g> SlfeEngine<'g> {
         let n = graph.num_vertices();
         let values: Vec<P::Value> = graph
             .vertices()
-            .map(|v| program.initial_value(v, &self.degrees))
+            .map(|v| program.initial_value(v, self.graph.degrees()))
             .collect();
-        let active = Bitset::from_fn(n, |v| program.initial_active(v as VertexId, &self.degrees));
+        let active = Bitset::from_fn(n, |v| {
+            program.initial_active(v as VertexId, self.graph.degrees())
+        });
         self.run_seeded(
             program,
             RunSeed {
@@ -817,7 +826,7 @@ impl<'g> SlfeEngine<'g> {
                 program.warm_start_value(
                     v as VertexId,
                     previous.values.get(v).copied(),
-                    &self.degrees,
+                    self.graph.degrees(),
                 )
             })
             .collect();
@@ -870,7 +879,7 @@ impl<'g> SlfeEngine<'g> {
             if invalid.get(vi) {
                 continue;
             }
-            let initial = program.initial_value(v, &self.degrees);
+            let initial = program.initial_value(v, self.graph.degrees());
             if !program.changed(values[vi], initial, tolerance) {
                 // Still at its initial value: intrinsically supported.
                 continue;
@@ -1705,7 +1714,7 @@ impl<'g> SlfeEngine<'g> {
             old
         };
         if arithmetic {
-            new = program.vertex_update(dst, new, &self.degrees);
+            new = program.vertex_update(dst, new, self.graph.degrees());
             work += 1;
         }
         let changed = program.changed(old, new, tolerance);

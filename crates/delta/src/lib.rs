@@ -9,7 +9,8 @@
 //!
 //! 1. **Mutation** — [`slfe_graph::UpdateBatch`] stages edge insertions and
 //!    deletions; [`slfe_graph::Graph::apply_batch`] rebuilds only the touched
-//!    adjacency ranges and reports the *dirty* endpoints.
+//!    adjacency blocks, shares the rest with the previous version, and reports
+//!    the *dirty* endpoints.
 //! 2. **Guidance repair** — [`slfe_core::RrGuidance::repair`] patches the
 //!    redundancy-reduction levels for the region reachable from the dirty set,
 //!    falling back to full regeneration past a dirty-fraction threshold.

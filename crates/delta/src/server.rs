@@ -79,10 +79,10 @@ pub struct BatchOutcome {
     /// Simulated messages spent shipping the batch's dirty updates from the
     /// ingest node to their partition owners.
     pub distribution_messages: u64,
-    /// What patching the chunk layout to this graph version cost: only the
-    /// dirty endpoints' owner nodes (plus the appended vertices' receiving
-    /// nodes) are re-derived; everything else is carried over from the
-    /// previous version.
+    /// What patching the chunk layout to this graph version cost: chunks
+    /// holding a dirty endpoint are updated in place, only those whose
+    /// boundaries move (and the appended vertices) are re-derived, and
+    /// everything else is carried over from the previous version.
     pub layout_patch: LayoutPatchStats,
     /// Out-of-core serving only: how many disk segments this batch rewrote
     /// across both adjacency directions ([`GraphStorage::patched`] — the
@@ -192,7 +192,9 @@ where
     /// from the authoritative in-memory adjacency.
     graph: Arc<Graph>,
     config: ServerConfig,
-    rrg: RrGuidance,
+    /// The guidance of the current version, shared with every engine this
+    /// server builds.
+    rrg: Arc<RrGuidance>,
     /// The persistent worker pool, created once at server startup and threaded
     /// through every graph version's engine (cold run, guidance repair *and*
     /// warm restarts) — applying a batch spawns zero threads.
@@ -209,7 +211,7 @@ where
     /// ([`GlobalChunkLayout::patched`]) and handed to every engine this
     /// server builds — warm and cold paths share the same instance, built
     /// once per applied version.
-    layout: GlobalChunkLayout,
+    layout: Arc<GlobalChunkLayout>,
     /// Out-of-core serving ([`EngineConfig::storage_budget_bytes`] set): the
     /// current graph version's disk-segment store, patched per batch at the
     /// dirty segments only and threaded into every engine this server builds.
@@ -269,12 +271,12 @@ where
         };
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
         let program = make_program(&graph);
-        let rrg = RrGuidance::generate_parallel_on(&graph, &pool);
+        let rrg = Arc::new(RrGuidance::generate_parallel_on(&graph, &pool));
         let partitioning =
             Arc::new(ChunkingPartitioner::default().partition(&graph, config.cluster.num_nodes));
         let cluster =
             Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone());
-        let layout = cluster.build_layout(&graph);
+        let layout = Arc::new(cluster.build_layout(&graph));
         // Out-of-core serving: the segments are written once here; every
         // batch then patches only the dirty ones (`GraphStorage::patched`).
         // The in-memory graph is attached as the recovery source so
@@ -293,9 +295,9 @@ where
             &graph,
             cluster,
             config.engine.clone(),
-            rrg.clone(),
+            Arc::clone(&rrg),
             Arc::clone(&pool),
-            layout.clone(),
+            Arc::clone(&layout),
             storage.clone(),
         );
         engine.set_telemetry(Arc::clone(&telemetry));
@@ -417,8 +419,8 @@ where
         &self,
         graph: &Graph,
         program: &P,
-        rrg: &RrGuidance,
-        layout: &GlobalChunkLayout,
+        rrg: &Arc<RrGuidance>,
+        layout: &Arc<GlobalChunkLayout>,
         storage: Option<Arc<GraphStorage>>,
         full_recompute: bool,
         effect: &BatchEffect,
@@ -431,9 +433,9 @@ where
             graph,
             cluster,
             self.config.engine.clone(),
-            rrg.clone(),
+            Arc::clone(rrg),
             Arc::clone(&self.pool),
-            layout.clone(),
+            Arc::clone(layout),
             storage,
         );
         engine.set_telemetry(Arc::clone(&self.telemetry));
@@ -505,9 +507,10 @@ where
         } else {
             batch
         };
-        let (graph, effect) = self.graph.apply_batch(batch);
-        let graph = Arc::new(graph);
-        if effect.is_noop() {
+        let graph_span = self.telemetry.begin();
+        let (graph, effect) = self.graph.apply_batch_if_changed(batch);
+        self.telemetry.end(graph_span, "graph_patch", "server", 0);
+        let Some(graph) = graph else {
             // Nothing changed: keep every artifact (graph version, cluster,
             // guidance, fixpoint) instead of rebuilding them all for nothing.
             self.stats.batches_applied += 1;
@@ -537,7 +540,8 @@ where
                 wal_fsync_seconds: 0.0,
                 degraded: false,
             });
-        }
+        };
+        let graph = Arc::new(graph);
         let old_n = self.graph.num_vertices();
         let n = graph.num_vertices();
         // Out-of-core: rewrite only the segments a dirty endpoint lives in
@@ -580,7 +584,7 @@ where
         let (rrg, guidance) = if full_recompute {
             // The cold run reads the rulers: sync now.
             let repair_span = self.telemetry.begin();
-            let parts = Self::sync_guidance_parts(
+            let (rrg, report) = Self::sync_guidance_parts(
                 &self.rrg,
                 &mut self.pending_guidance_dirty,
                 &graph,
@@ -588,13 +592,17 @@ where
             );
             self.telemetry
                 .end(repair_span, "guidance_repair", "server", 0);
-            parts
+            (Arc::new(rrg), report)
         } else {
             // Warm restart: rulers are never read, only the engine's size
             // invariant must hold. Stale levels are fine; appended vertices
             // are padded as "never early-converged" so nothing is skipped.
             (
-                self.rrg.extended_to(n),
+                if self.rrg.num_vertices() == n {
+                    Arc::clone(&self.rrg)
+                } else {
+                    Arc::new(self.rrg.extended_to(n))
+                },
                 RepairReport {
                     regenerated: false,
                     affected_vertices: 0,
@@ -607,27 +615,27 @@ where
         // One partitioning, one layout, per applied version — shared by the
         // warm path and the cold-run fallback alike. The partitioning only
         // grows (appended vertices join the least-loaded nodes, keeping the
-        // per-node loads bounded under sustained growth), so chunk estimates
-        // move exclusively at the batch's dirty endpoints plus the receiving
-        // nodes, and the layout is patched there instead of being re-derived
-        // with an O(V+E) scan+sort.
-        let num_nodes = self.config.cluster.num_nodes;
+        // per-node loads bounded under sustained growth, at the end of their
+        // owned lists), so chunk estimates move exclusively at the batch's
+        // dirty endpoints plus the appended tails, and the layout is
+        // re-chunked around them instead of being re-derived with an
+        // O(V+E) scan+sort.
+        let layout_span = self.telemetry.begin();
         // The previous version's cluster is gone by now, so the Arc is
         // unshared and `make_mut` extends in place.
-        let growth_receivers = Arc::make_mut(&mut self.partitioning).extend_to(n);
-        let mut touched = vec![false; num_nodes];
-        for node in growth_receivers {
-            touched[node] = true;
-        }
-        for &v in &effect.dirty {
-            touched[self.partitioning.owner_of(v)] = true;
-        }
-        let owned: Vec<&[VertexId]> = (0..num_nodes)
+        Arc::make_mut(&mut self.partitioning).extend_to(n);
+        let owned: Vec<&[VertexId]> = (0..self.config.cluster.num_nodes)
             .map(|node| self.partitioning.vertices_of(node))
             .collect();
-        let (layout, layout_patch) =
-            self.layout
-                .patched(&graph, &owned, self.config.cluster.chunk_size, &touched);
+        let (layout, layout_patch) = self.layout.patched(
+            &self.graph,
+            &graph,
+            &owned,
+            self.config.cluster.chunk_size,
+            &effect.dirty,
+        );
+        let layout = Arc::new(layout);
+        self.telemetry.end(layout_span, "layout_patch", "server", 0);
         let (mut result, distribution_messages) = self.run_engine(
             &graph,
             &program,
@@ -807,7 +815,7 @@ where
         self.telemetry
             .end(repair_span, "guidance_repair", "server", 0);
         self.stats.guidance_regenerations += report.regenerated as u64;
-        self.rrg = rrg;
+        self.rrg = Arc::new(rrg);
     }
 
     /// Counted work a guidance sync would do right now: 0 when nothing is
@@ -869,7 +877,7 @@ where
             Arc::clone(&partitioning),
             self.config.cluster.clone(),
         );
-        let layout = cluster.build_layout(&graph);
+        let layout = Arc::new(cluster.build_layout(&graph));
         drop(cluster);
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
@@ -882,7 +890,7 @@ where
             }
             None => None,
         };
-        self.rrg = self.rrg.permuted(step);
+        self.rrg = Arc::new(self.rrg.permuted(step));
         self.result.values = step.permuted_values(&self.result.values);
         self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
         step.map_ids(&mut self.pending_guidance_dirty);
@@ -1501,7 +1509,7 @@ where
         let partitioning = Arc::new(Partitioning::from_owners(snap.owners, snap.num_parts));
         let cluster =
             Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone());
-        let layout = cluster.build_layout(&graph);
+        let layout = Arc::new(cluster.build_layout(&graph));
         drop(cluster);
         let storage = match config.engine.storage_config() {
             Some(sc) => {
@@ -1537,7 +1545,7 @@ where
             program,
             graph,
             config,
-            rrg: snap.guidance,
+            rrg: Arc::new(snap.guidance),
             pool,
             partitioning,
             layout,
@@ -1800,63 +1808,68 @@ mod tests {
         );
     }
 
-    /// Applying a batch must *patch* the chunk layout — touching only the
-    /// dirty endpoints' owner nodes — and the patched layout must equal a
-    /// from-scratch derivation over the server's stable partitioning, batch
-    /// after batch.
+    /// Applying a batch must *patch* the chunk layout — re-scanning at most
+    /// a few chunks around the dirty endpoints, on one node as on eight —
+    /// and the patched layout must equal a from-scratch derivation over the
+    /// server's stable partitioning, batch after batch.
     #[test]
     fn applying_batches_patches_the_layout_instead_of_rebuilding() {
-        let graph = generators::rmat(4000, 24_000, 0.57, 0.19, 0.19, 97);
-        let config = ServerConfig {
-            cluster: ClusterConfig::new(8, 1),
-            ..ServerConfig::default()
-        };
-        let root = stats::highest_out_degree_vertex(&graph).unwrap();
-        let mut server = sssp_server(graph, root, config);
-        let initial_chunks = server.layout().chunks().len();
-        assert!(initial_chunks > 8, "need a real chunk population");
+        for nodes in [8, 1] {
+            let graph = generators::rmat(4000, 24_000, 0.57, 0.19, 0.19, 97);
+            let config = ServerConfig {
+                cluster: ClusterConfig::new(nodes, 1).with_chunk_size(64),
+                ..ServerConfig::default()
+            };
+            let root = stats::highest_out_degree_vertex(&graph).unwrap();
+            let mut server = sssp_server(graph, root, config);
+            let initial_chunks = server.layout().chunks().len();
+            assert!(initial_chunks > 8, "need a real chunk population");
 
-        for round in 0..4u64 {
-            // A two-edge batch between two vertices: at most 4 dirty
-            // endpoints, so at most 4 owner nodes may be rebuilt.
-            let n = server.graph().num_vertices() as u32;
-            let mut rng = SplitMix64::seed_from_u64(round + 500);
-            let mut batch = UpdateBatch::new();
-            batch
-                .insert(rng.range_u32(0, n), rng.range_u32(0, n), 1.5)
-                .insert(rng.range_u32(0, n), rng.range_u32(0, n), 2.5);
-            let outcome = server.apply(&batch);
-            assert!(outcome.converged);
+            for round in 0..6u64 {
+                // A two-edge batch between two vertices: at most 4 dirty
+                // endpoints, so at most 4 owner nodes and 4 chunks are dirty.
+                let n = server.graph().num_vertices() as u32;
+                let mut rng = SplitMix64::seed_from_u64(round + 500);
+                let mut batch = UpdateBatch::new();
+                batch
+                    .insert(rng.range_u32(0, n), rng.range_u32(0, n), 1.5)
+                    .insert(rng.range_u32(0, n), rng.range_u32(0, n), 2.5);
+                let outcome = server.apply(&batch);
+                assert!(outcome.converged);
 
-            // Patch locality: only dirty-endpoint owners were re-derived,
-            // and their owned vertices bound the patch's counted work.
-            assert!(
-                outcome.layout_patch.nodes_rebuilt <= outcome.effect.dirty.len().min(8),
-                "round {round}: rebuilt {} nodes for {} dirty endpoints",
-                outcome.layout_patch.nodes_rebuilt,
-                outcome.effect.dirty.len()
-            );
-            assert!(
-                outcome.layout_patch.vertices_scanned < server.graph().num_vertices(),
-                "round {round}: patch scanned the whole graph"
-            );
-            assert!(outcome.layout_patch.chunks_reused > 0);
+                // Patch locality: only dirty-endpoint owners were patched,
+                // and within them only a few chunks around the endpoints
+                // were re-scanned — on one node as on eight.
+                let patch = outcome.layout_patch;
+                let dirty = outcome.effect.dirty.len();
+                assert!(
+                    patch.nodes_patched <= dirty.min(nodes),
+                    "{nodes} nodes, round {round}: patched {} nodes for {dirty} dirty endpoints",
+                    patch.nodes_patched,
+                );
+                assert!(
+                    patch.vertices_scanned <= 64 * dirty,
+                    "{nodes} nodes, round {round}: scanned {} vertices for {dirty} dirty endpoints",
+                    patch.vertices_scanned
+                );
+                assert!(patch.chunks_reused + 2 * dirty >= server.layout().chunks().len());
 
-            // Patch correctness: bit-equal to the from-scratch layout over
-            // the same (stable) partitioning.
-            let owned: Vec<&[slfe_graph::VertexId]> = (0..8)
-                .map(|node| server.partitioning().vertices_of(node))
-                .collect();
-            let scratch = slfe_cluster::GlobalChunkLayout::build(
-                server.graph(),
-                &owned,
-                server.config().cluster.chunk_size,
-            );
-            assert_eq!(
-                *server.layout(),
-                scratch,
-                "round {round}: patched layout diverges from a from-scratch build"
-            );
+                // Patch correctness: bit-equal to the from-scratch layout over
+                // the same (stable) partitioning.
+                let owned: Vec<&[slfe_graph::VertexId]> = (0..nodes)
+                    .map(|node| server.partitioning().vertices_of(node))
+                    .collect();
+                let scratch = slfe_cluster::GlobalChunkLayout::build(
+                    server.graph(),
+                    &owned,
+                    server.config().cluster.chunk_size,
+                );
+                assert_eq!(
+                    *server.layout(),
+                    scratch,
+                    "{nodes} nodes, round {round}: patched layout diverges from a from-scratch build"
+                );
+            }
         }
     }
 

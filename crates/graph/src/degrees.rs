@@ -9,29 +9,49 @@
 //! remains: two `u32` per vertex, indexed by **physical** id — exactly what
 //! the degree-reading hooks need, nothing they could misuse.
 
+use crate::csr::Adjacency;
 use crate::graph::Graph;
 use crate::types::VertexId;
 
 /// Per-vertex out/in degree counts, indexed by physical vertex id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degrees {
-    out: Vec<u32>,
-    incoming: Vec<u32>,
+    pub(crate) out: Vec<u32>,
+    pub(crate) incoming: Vec<u32>,
 }
 
 impl Degrees {
-    /// Extract the degree arrays of `graph` (`O(V)` time and `8·V` bytes).
+    /// A copy of the degree arrays `graph` keeps (`O(V)` time and `8·V`
+    /// bytes); borrow them with [`Graph::degrees`] instead where possible.
     pub fn of(graph: &Graph) -> Self {
+        graph.degrees().clone()
+    }
+
+    /// Extract the degree arrays of both adjacency directions.
+    pub(crate) fn of_adjacency(out: &Adjacency, incoming: &Adjacency) -> Self {
         Self {
-            out: graph
-                .vertices()
-                .map(|v| graph.out_degree(v) as u32)
-                .collect(),
-            incoming: graph
-                .vertices()
-                .map(|v| graph.in_degree(v) as u32)
-                .collect(),
+            out: out.degrees(),
+            incoming: incoming.degrees(),
         }
+    }
+
+    /// These arrays after an update batch: grown to the new adjacencies'
+    /// vertex count (appended ids start at degree 0) and re-read at the
+    /// `dirty` vertices — the only ones whose degrees can have changed.
+    pub(crate) fn patched(
+        &self,
+        dirty: &[VertexId],
+        out: &Adjacency,
+        incoming: &Adjacency,
+    ) -> Self {
+        let mut patched = self.clone();
+        patched.out.resize(out.num_vertices(), 0);
+        patched.incoming.resize(incoming.num_vertices(), 0);
+        for &v in dirty {
+            patched.out[v as usize] = out.degree(v) as u32;
+            patched.incoming[v as usize] = incoming.degree(v) as u32;
+        }
+        patched
     }
 
     /// Number of vertices covered.

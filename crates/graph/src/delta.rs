@@ -4,10 +4,11 @@
 //! iteration, hostile to in-place mutation. Live traffic does not rebuild the
 //! world per edge, so updates are *staged* in an [`UpdateBatch`] and applied in
 //! one shot: [`Graph::apply_batch`] produces a new graph by rebuilding **only the
-//! adjacency ranges of touched endpoints** ([`crate::Adjacency::patched`]) and
-//! copying every untouched range wholesale. The returned [`BatchEffect`] names
-//! the *dirty* vertices — the endpoints of edges that actually changed — which is
-//! exactly the seed set the warm-start engine path and the RRG repair pass need.
+//! adjacency blocks that hold a touched endpoint** ([`crate::Adjacency::patched`])
+//! and sharing every other block with the parent version. The returned
+//! [`BatchEffect`] names the *dirty* vertices — the endpoints of edges that
+//! actually changed — which is exactly the seed set the warm-start engine path
+//! and the RRG repair pass need.
 //!
 //! Semantics (per `(src, dst)` pair, the batch's unit of change):
 //!
@@ -244,14 +245,25 @@ type DirectionEdits = BTreeMap<VertexId, Vec<(VertexId, EdgeOp)>>;
 
 impl Graph {
     /// Apply a staged [`UpdateBatch`], producing the mutated graph and the
-    /// [`BatchEffect`] describing what changed.
-    ///
-    /// Only the adjacency ranges of touched endpoints are rebuilt — every other
-    /// vertex's CSR/CSC range is copied verbatim — so the cost is
-    /// `O(V + E + touched-degree)` array movement with no re-sorting of untouched
-    /// lists. The original graph is untouched (persistent-structure style), which
-    /// keeps previous fixpoints queryable while the new version converges.
+    /// [`BatchEffect`] describing what changed. A batch that changed nothing
+    /// returns a clone of `self`; [`Graph::apply_batch_if_changed`] skips it.
     pub fn apply_batch(&self, batch: &UpdateBatch) -> (Graph, BatchEffect) {
+        let (graph, effect) = self.apply_batch_if_changed(batch);
+        (graph.unwrap_or_else(|| self.clone()), effect)
+    }
+
+    /// [`Graph::apply_batch`] that returns no graph when the batch changed
+    /// nothing ([`BatchEffect::is_noop`]), so a caller that keeps the current
+    /// version in that case builds nothing.
+    ///
+    /// The CSR and CSC are blocked and copy-on-write: only the blocks that
+    /// hold a touched endpoint (or an appended id) are rebuilt, every other
+    /// block is shared with `self`. The cost is `O(batch log degree)` to
+    /// resolve the stages plus `O(V / block + touched blocks' edges)` to
+    /// assemble the new version, with no re-sorting of untouched lists. The
+    /// original graph is untouched, which keeps previous fixpoints queryable
+    /// while the new version converges.
+    pub fn apply_batch_if_changed(&self, batch: &UpdateBatch) -> (Option<Graph>, BatchEffect) {
         let mut effect = BatchEffect::default();
         // Resolve each staged pair against the current graph, dropping no-ops.
         let mut by_src: DirectionEdits = BTreeMap::new();
@@ -321,7 +333,7 @@ impl Graph {
         effect.worsened_dsts.dedup();
         effect.vertices_added = max_id - self.num_vertices();
         if effect.is_noop() {
-            return (self.clone(), effect);
+            return (None, effect);
         }
 
         let out = self
@@ -330,44 +342,60 @@ impl Graph {
         let incoming = self
             .in_adjacency()
             .patched(max_id, &self.direction_edits(self.in_adjacency(), &by_dst));
-        let graph = Graph::from_parts_with_remap(max_id, out, incoming, self.remap_arc());
+        let degrees = self.degrees().patched(&effect.dirty, &out, &incoming);
+        let graph =
+            Graph::from_parts_with_degrees(max_id, out, incoming, degrees, self.remap_arc());
         debug_assert_eq!(
             graph.num_edges(),
             self.num_edges() + effect.edges_inserted - effect.edges_deleted
         );
-        (graph, effect)
+        (Some(graph), effect)
     }
 
     /// Materialise the full replacement adjacency list of every touched vertex in
-    /// one direction: old list minus changed pairs, plus upserted pairs, sorted
-    /// by the neighbor's external id (the canonical list order).
+    /// one direction: the old list with every copy of a changed pair dropped and
+    /// each upserted pair merged in at its place in the canonical list order
+    /// (by the neighbor's external id). One linear merge per list, no re-sort,
+    /// so the copies of an unchanged duplicate pair keep their order.
     fn direction_edits(
         &self,
         adjacency: &crate::Adjacency,
         staged: &DirectionEdits,
     ) -> Vec<(VertexId, Vec<(VertexId, EdgeWeight)>)> {
         let n = adjacency.num_vertices();
+        let key = |v: VertexId| self.external_id(v);
         staged
             .iter()
-            .map(|(&key, changes)| {
-                let mut list: Vec<(VertexId, EdgeWeight)> = if (key as usize) < n {
-                    adjacency
-                        .neighbors_with_weights(key)
-                        .filter(|(other, _)| changes.iter().all(|&(c, _)| c != *other))
-                        .collect()
+            .map(|(&vertex, changes)| {
+                let mut changes = changes.clone();
+                changes.sort_unstable_by_key(|&(other, _)| key(other));
+                let (targets, weights) = if (vertex as usize) < n {
+                    adjacency.list(vertex)
                 } else {
-                    Vec::new()
+                    (&[][..], &[][..])
                 };
-                for &(other, op) in changes {
+                let mut list = Vec::with_capacity(targets.len() + changes.len());
+                let mut pending = changes.iter().peekable();
+                let upsert = |(other, op): (VertexId, EdgeOp), list: &mut Vec<_>| {
                     if let EdgeOp::Insert(weight) = op {
                         list.push((other, weight));
                     }
+                };
+                for (&t, &w) in targets.iter().zip(weights) {
+                    while let Some(&change) = pending.next_if(|(other, _)| key(*other) < key(t)) {
+                        upsert(change, &mut list);
+                    }
+                    // Every copy of a changed pair is dropped; the change
+                    // itself stays pending until the list moves past it.
+                    if pending.peek().is_none_or(|(other, _)| *other != t) {
+                        list.push((t, w));
+                    }
                 }
-                list.sort_unstable_by_key(|&(other, _)| self.external_id(other));
-                debug_assert!(list
-                    .windows(2)
-                    .all(|w| self.external_id(w[0].0) < self.external_id(w[1].0)));
-                (key, list)
+                for &change in pending {
+                    upsert(change, &mut list);
+                }
+                debug_assert!(list.windows(2).all(|w| key(w[0].0) <= key(w[1].0)));
+                (vertex, list)
             })
             .collect()
     }
@@ -389,8 +417,13 @@ mod tests {
 
     /// Oracle: apply the batch naively to the edge list and rebuild from scratch.
     fn oracle_apply(graph: &Graph, batch: &UpdateBatch) -> Graph {
-        let mut edges: Vec<Edge> = graph.edges().to_vec();
-        let mut max_id = graph.num_vertices();
+        let (edges, n) = oracle_edges(graph.edges().to_vec(), graph.num_vertices(), batch);
+        Graph::from_edges(n, edges)
+    }
+
+    /// The oracle's edge-list half: `edges` over `n` vertices after `batch`.
+    fn oracle_edges(mut edges: Vec<Edge>, n: usize, batch: &UpdateBatch) -> (Vec<Edge>, usize) {
+        let mut max_id = n;
         for (&(src, dst), &op) in &batch.ops {
             match op {
                 EdgeOp::Delete => edges.retain(|e| !(e.src == src && e.dst == dst)),
@@ -410,7 +443,7 @@ mod tests {
                 }
             }
         }
-        Graph::from_edges(max_id, edges)
+        (edges, max_id)
     }
 
     fn assert_same_graph(a: &Graph, b: &Graph) {
@@ -601,6 +634,178 @@ mod tests {
                 assert!((v as usize) < patched.num_vertices());
             }
         }
+    }
+
+    /// `edges` sorted into a canonical multiset order.
+    fn canonical(mut edges: Vec<Edge>) -> Vec<(VertexId, VertexId, u32)> {
+        let mut keyed: Vec<_> = edges
+            .drain(..)
+            .map(|e| (e.src, e.dst, e.weight.to_bits()))
+            .collect();
+        keyed.sort_unstable();
+        keyed
+    }
+
+    /// Copy-on-write patching over seeded random batch streams: every block
+    /// that holds no dirty vertex (and no appended id) is the parent's
+    /// allocation, and the patched graph equals a from-scratch build of the
+    /// mutated edge list. The inputs carry a hub, duplicate pairs that
+    /// upserts and deletes collapse, growth past block boundaries, and every
+    /// other seed runs on a remapped graph (compared in external ids).
+    #[test]
+    fn copy_on_write_batches_share_clean_blocks_and_match_from_edges() {
+        use crate::csr::BLOCK_VERTICES;
+        use crate::remap::IdRemap;
+        let mut shared_blocks_checked = 0;
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed * 97 + 5);
+            let n0 = 3 * BLOCK_VERTICES + 17 + seed as usize * 11;
+            let mut edges = generators::rmat(n0, n0 * 6, 0.57, 0.19, 0.19, seed + 300)
+                .edges()
+                .to_vec();
+            let hub = rng.range_u32(0, n0 as u32);
+            edges.extend((0..n0 as u32).step_by(2).map(|v| Edge::new(hub, v, 1.5)));
+            edges.extend((0..n0 as u32).step_by(3).map(|v| Edge::new(v, hub, 2.5)));
+            // Duplicate pairs with distinct weights.
+            for i in 0..20 {
+                let e = edges[i * 7];
+                edges.push(Edge::new(e.src, e.dst, e.weight + 1.0));
+            }
+            let mut oracle = (edges.clone(), n0);
+            let mut graph = Graph::from_edges(n0, edges);
+            if seed % 2 == 1 {
+                let mut forward: Vec<VertexId> = (0..n0 as VertexId).collect();
+                for i in (1..n0).rev() {
+                    forward.swap(i, rng.range_u32(0, i as u32 + 1) as usize);
+                }
+                graph = graph.remapped(&IdRemap::from_forward(forward));
+            }
+            for round in 0..4 {
+                let n = graph.num_vertices() as u32;
+                let mut batch = UpdateBatch::new();
+                for _ in 0..1 + rng.range_u32(0, 30) {
+                    let src = rng.range_u32(0, n);
+                    let roll = rng.next_f64();
+                    if roll < 0.15 {
+                        // Grow, often past the next block boundary.
+                        let far = n + rng.range_u32(1, BLOCK_VERTICES as u32 + 10);
+                        batch.insert(src, far, rng.range_f32(1.0, 9.0));
+                    } else if roll < 0.55 {
+                        batch.insert(src, rng.range_u32(0, n), rng.range_f32(1.0, 9.0));
+                    } else if roll < 0.75 {
+                        batch.insert(hub, rng.range_u32(0, n), 3.0);
+                    } else if let Some(&dst) = graph.out_neighbors(src).first() {
+                        // Deleting (or re-inserting) a present pair collapses
+                        // any duplicates it has.
+                        let dst = graph.external_id(dst);
+                        if roll < 0.9 {
+                            batch.delete(graph.external_id(src), dst);
+                        } else {
+                            batch.insert(graph.external_id(src), dst, 4.0);
+                        }
+                        continue;
+                    }
+                }
+                // The batch above is staged in external ids (ids past the
+                // remap map to themselves); translate it for the graph.
+                let physical = batch.mapped(|v| graph.to_physical(v));
+                let (patched, effect) = graph.apply_batch(&physical);
+                oracle = oracle_edges(oracle.0, oracle.1, &batch);
+                let expected = Graph::from_edges(oracle.1, oracle.0.clone());
+
+                // Clean blocks are shared, not copied.
+                let old_n = graph.num_vertices();
+                let new_n = patched.num_vertices();
+                for b in 0..new_n.div_ceil(BLOCK_VERTICES) {
+                    let (lo, hi) = (b * BLOCK_VERTICES, ((b + 1) * BLOCK_VERTICES).min(new_n));
+                    let dirty = effect
+                        .dirty
+                        .iter()
+                        .any(|&v| (lo..hi).contains(&(v as usize)));
+                    if dirty || hi > old_n {
+                        continue;
+                    }
+                    for (new, old) in [
+                        (patched.out_adjacency(), graph.out_adjacency()),
+                        (patched.in_adjacency(), graph.in_adjacency()),
+                    ] {
+                        assert!(
+                            new.shares_block(old, b),
+                            "seed {seed} round {round}: clean block {b} was copied"
+                        );
+                        shared_blocks_checked += 1;
+                    }
+                }
+
+                // Equal to a from-scratch build, compared in external ids.
+                let context = format!("seed {seed} round {round}");
+                assert_eq!(new_n, expected.num_vertices(), "{context}");
+                assert_eq!(patched.num_edges(), expected.num_edges(), "{context}");
+                // Lists are sorted by external neighbor id; the order of a
+                // duplicate pair's copies is unspecified (`from_edges` sorts
+                // unstably), so weights compare per (neighbor, weight) pair.
+                let ext_of = |list: &[VertexId]| -> Vec<VertexId> {
+                    list.iter().map(|&u| patched.external_id(u)).collect()
+                };
+                let pairs = |nbrs: Vec<VertexId>, weights: &[EdgeWeight]| {
+                    let mut pairs: Vec<(VertexId, u32)> = nbrs
+                        .into_iter()
+                        .zip(weights.iter().map(|w| w.to_bits()))
+                        .collect();
+                    pairs.sort_unstable();
+                    pairs
+                };
+                for ext in expected.vertices() {
+                    let p = patched.to_physical(ext);
+                    let (out, inc) = (
+                        ext_of(patched.out_neighbors(p)),
+                        ext_of(patched.in_neighbors(p)),
+                    );
+                    assert_eq!(out, expected.out_neighbors(ext), "{context}");
+                    assert_eq!(inc, expected.in_neighbors(ext), "{context}");
+                    assert_eq!(
+                        pairs(out, patched.out_weights(p)),
+                        pairs(
+                            expected.out_neighbors(ext).to_vec(),
+                            expected.out_weights(ext)
+                        ),
+                        "{context}: out weights of {ext}"
+                    );
+                    assert_eq!(
+                        pairs(inc, patched.in_weights(p)),
+                        pairs(
+                            expected.in_neighbors(ext).to_vec(),
+                            expected.in_weights(ext)
+                        ),
+                        "{context}: in weights of {ext}"
+                    );
+                    assert_eq!(patched.out_degree(p), expected.out_degree(ext));
+                    assert_eq!(patched.in_degree(p), expected.in_degree(ext));
+                }
+                let external_edges = patched
+                    .edges()
+                    .iter()
+                    .map(|e| {
+                        Edge::new(
+                            patched.external_id(e.src),
+                            patched.external_id(e.dst),
+                            e.weight,
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    canonical(external_edges),
+                    canonical(expected.edges().to_vec()),
+                    "{context}"
+                );
+                patched.validate().unwrap();
+                graph = patched;
+            }
+        }
+        assert!(
+            shared_blocks_checked >= 20,
+            "only {shared_blocks_checked} clean blocks"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The immutable [`Graph`] type: CSR + CSC views over a directed weighted graph.
 
 use crate::csr::Adjacency;
+use crate::degrees::Degrees;
 use crate::remap::IdRemap;
 use crate::types::{Edge, EdgeWeight, VertexId};
 use std::sync::Arc;
@@ -27,6 +28,10 @@ pub struct Graph {
     num_vertices: usize,
     out: Adjacency,
     incoming: Adjacency,
+    /// Both directions' degrees as flat arrays: the program callbacks' view,
+    /// and `O(1)` degree queries without a block lookup. Patched at the
+    /// dirty vertices by [`Graph::apply_batch`], never rebuilt.
+    degrees: Degrees,
     /// Cumulative external→physical bijection; `None` means the two id
     /// spaces coincide (the common case, and the zero-cost fast path).
     /// Physical ids at or beyond the remap's length are external ids
@@ -60,6 +65,7 @@ impl Graph {
         let _ = cell.set(edges);
         Self {
             num_vertices,
+            degrees: Degrees::of_adjacency(&out, &incoming),
             out,
             incoming,
             remap: None,
@@ -82,13 +88,28 @@ impl Graph {
         incoming: Adjacency,
         remap: Option<Arc<IdRemap>>,
     ) -> Self {
+        let degrees = Degrees::of_adjacency(&out, &incoming);
+        Self::from_parts_with_degrees(num_vertices, out, incoming, degrees, remap)
+    }
+
+    /// [`Graph::from_parts_with_remap`] with the degree arrays already known
+    /// (`apply_batch` patches its parent's instead of re-deriving them).
+    pub(crate) fn from_parts_with_degrees(
+        num_vertices: usize,
+        out: Adjacency,
+        incoming: Adjacency,
+        degrees: Degrees,
+        remap: Option<Arc<IdRemap>>,
+    ) -> Self {
         debug_assert_eq!(out.num_vertices(), num_vertices);
         debug_assert_eq!(incoming.num_vertices(), num_vertices);
         debug_assert_eq!(out.num_edges(), incoming.num_edges());
+        debug_assert_eq!(degrees.num_vertices(), num_vertices);
         Self {
             num_vertices,
             out,
             incoming,
+            degrees,
             remap,
             edges: std::sync::OnceLock::new(),
         }
@@ -133,13 +154,20 @@ impl Graph {
     }
 
     /// Out-degree of `v`.
+    #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out.degree(v)
+        self.degrees.out[v as usize] as usize
     }
 
     /// In-degree of `v`.
+    #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.incoming.degree(v)
+        self.degrees.incoming[v as usize] as usize
+    }
+
+    /// Every vertex's out- and in-degree, the view program callbacks get.
+    pub fn degrees(&self) -> &Degrees {
+        &self.degrees
     }
 
     /// Outgoing neighbors of `v` (targets of edges leaving `v`), sorted.
@@ -150,6 +178,17 @@ impl Graph {
     /// Incoming neighbors of `v` (sources of edges entering `v`), sorted.
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.incoming.neighbors(v)
+    }
+
+    /// Half-open physical-id span `[min, max + 1)` of `v`'s in-neighbors,
+    /// `None` when it has none. `O(1)` on an unremapped graph, whose lists
+    /// are sorted by physical id; a scan of the list otherwise.
+    pub fn in_neighbor_span(&self, v: VertexId) -> Option<(VertexId, VertexId)> {
+        let list = self.in_neighbors(v);
+        match &self.remap {
+            None => Some((*list.first()?, *list.last()? + 1)),
+            Some(_) => Some((*list.iter().min()?, *list.iter().max()? + 1)),
+        }
     }
 
     /// Weights parallel to [`Self::out_neighbors`].

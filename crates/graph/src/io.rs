@@ -185,7 +185,7 @@ pub fn save_edge_list(graph: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
 pub mod binary {
     use crate::csr::Adjacency;
     use crate::graph::Graph;
-    use crate::types::{EdgeWeight, VertexId};
+    use crate::types::EdgeWeight;
 
     /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
     const CRC_TABLE: [u32; 256] = {
@@ -295,13 +295,13 @@ pub mod binary {
 
     fn encode_adjacency(out: &mut Vec<u8>, adj: &Adjacency) {
         put_u64(out, adj.num_edges() as u64);
-        for &off in adj.offsets() {
+        for off in adj.offsets() {
             put_u64(out, off as u64);
         }
-        for &t in adj.raw_targets() {
+        for t in adj.raw_targets() {
             put_u32(out, t);
         }
-        for &w in adj.raw_weights() {
+        for w in adj.raw_weights() {
             put_f32(out, w);
         }
     }
@@ -327,19 +327,13 @@ pub mod binary {
         if *offsets.last()? != num_edges {
             return None;
         }
-        let mut targets = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            let t = r.u32()?;
-            if t as usize >= num_vertices {
-                return None;
-            }
-            targets.push(t as VertexId);
-        }
-        let mut weights = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            weights.push(r.f32()? as EdgeWeight);
-        }
-        Some(Adjacency::from_raw(offsets, targets, weights))
+        // `num_edges <= remaining / 4` above, so this cannot overflow.
+        let mut targets = Reader::new(r.bytes(4 * num_edges)?);
+        Adjacency::from_raw(
+            &offsets,
+            || targets.u32().filter(|&t| (t as usize) < num_vertices),
+            || r.f32().map(|w| w as EdgeWeight),
+        )
     }
 
     /// Append the exact physical encoding of `graph` (vertex count plus the
@@ -551,6 +545,61 @@ mod tests {
         assert_eq!(g2.num_vertices(), g.num_vertices());
         assert_eq!(g2.out_adjacency(), g.out_adjacency());
         assert_eq!(g2.in_adjacency(), g.in_adjacency());
+    }
+
+    /// The encoding of one direction as a flat CSR would write it, built
+    /// from per-vertex lists only: edge count, global offsets, all targets,
+    /// all weights.
+    fn flat_reference_encoding(out: &mut Vec<u8>, n: usize, list: impl Fn(u32) -> Vec<(u32, f32)>) {
+        let lists: Vec<Vec<(u32, f32)>> = (0..n as u32).map(list).collect();
+        let num_edges: usize = lists.iter().map(Vec::len).sum();
+        binary::put_u64(out, num_edges as u64);
+        let mut offset = 0;
+        binary::put_u64(out, 0);
+        for l in &lists {
+            offset += l.len();
+            binary::put_u64(out, offset as u64);
+        }
+        for &(t, _) in lists.iter().flatten() {
+            binary::put_u32(out, t);
+        }
+        for &(_, w) in lists.iter().flatten() {
+            binary::put_f32(out, w);
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_equal_a_flat_reference_encoding() {
+        let base = crate::generators::rmat(300, 2400, 0.57, 0.19, 0.19, 17);
+        let remapped = base.remapped(&crate::IdRemap::from_forward(
+            (0..300u32).map(|v| (v * 7 + 3) % 300).collect(),
+        ));
+        for g in [base, remapped] {
+            // Patch a few blocks and grow past the last block boundary.
+            let mut batch = crate::UpdateBatch::new();
+            batch
+                .insert(1, 299, 4.5)
+                .insert(130, 7, 2.0)
+                .insert(5, 330, 1.0);
+            if let Some(&dst) = g.out_neighbors(200).first() {
+                batch.delete(200, dst);
+            }
+            let (g, _) = g.apply_batch(&batch);
+            let mut buf = Vec::new();
+            binary::encode_graph(&mut buf, &g);
+            let mut reference = Vec::new();
+            binary::put_u64(&mut reference, g.num_vertices() as u64);
+            let n = g.num_vertices();
+            flat_reference_encoding(&mut reference, n, |v| g.out_edges(v).collect());
+            flat_reference_encoding(&mut reference, n, |v| g.in_edges(v).collect());
+            assert_eq!(
+                buf, reference,
+                "snapshot bytes diverge from the flat layout"
+            );
+            let decoded = binary::decode_graph(&mut binary::Reader::new(&buf)).unwrap();
+            assert_eq!(decoded.out_adjacency(), g.out_adjacency());
+            assert_eq!(decoded.in_adjacency(), g.in_adjacency());
+        }
     }
 
     #[test]

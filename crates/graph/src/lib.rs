@@ -8,7 +8,9 @@
 //!   self-loop removal, producing an immutable [`Graph`].
 //! * [`Graph`] — a directed, weighted graph stored in both CSR (outgoing adjacency)
 //!   and CSC (incoming adjacency) form, because the SLFE engine's *push* mode walks
-//!   outgoing edges while its *pull* mode walks incoming edges (paper §3.3).
+//!   outgoing edges while its *pull* mode walks incoming edges (paper §3.3). Both
+//!   are blocked and copy-on-write ([`Adjacency`]), so graph versions share
+//!   every block an update batch did not touch.
 //! * [`generators`] — synthetic graph generators (RMAT, Erdős–Rényi, paths, stars,
 //!   grids, complete graphs, trees) used to build laptop-scale proxies of the paper's
 //!   datasets.
@@ -16,8 +18,9 @@
 //!   word-wise merge of per-worker frontiers) plus the concurrent [`AtomicBitset`]
 //!   used by the parallel preprocessing pass.
 //! * [`delta`] — staged edge-update batches ([`UpdateBatch`]) applied against the
-//!   immutable graph by rebuilding only touched adjacency ranges
-//!   ([`Graph::apply_batch`]); the backbone of the incremental serving subsystem.
+//!   immutable graph by rebuilding only the adjacency blocks that hold a touched
+//!   vertex ([`Graph::apply_batch`]); the backbone of the incremental serving
+//!   subsystem.
 //! * [`storage`] — out-of-core adjacency: CSR/CSC written to disk in
 //!   self-contained segments ([`SegmentedStore`]) and served through a
 //!   byte-budgeted clock [`BufferPool`]; the [`AdjacencyStore`] trait lets the

@@ -6,7 +6,7 @@
 //!
 //! * [`AdjacencyStore`] — the abstraction the engine's pull/push phases
 //!   traverse. The in-memory [`Adjacency`] implements it at zero cost (a view
-//!   is just `&Adjacency`), so the historical execution paths are untouched.
+//!   is one of its blocks), so the historical execution paths are untouched.
 //! * [`SegmentedStore`] — one adjacency direction written to disk in
 //!   fixed-byte-budget **segments**: a contiguous vertex range's local offset
 //!   array plus its neighbor/weight arrays, self-contained so a segment can be
@@ -35,7 +35,7 @@
 //! byte-identical `(neighbor, weight)` sequences — the engine-level
 //! bit-for-bit equivalence tests rest on that.
 
-use crate::csr::Adjacency;
+use crate::csr::{Adjacency, BlockView};
 use crate::faults::{is_disk_full, FaultAction, FaultInjector, FaultSite, RetryPolicy};
 use crate::io::binary::crc32;
 use crate::types::{EdgeWeight, VertexId};
@@ -77,15 +77,18 @@ pub trait AdjacencyView {
     fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]);
 }
 
+/// The in-memory store's granule is one adjacency block: a view is the
+/// block itself, so a lookup skips the block-pointer step. `view(lo, hi)`
+/// must stay inside the block holding `lo`, as [`StreamCursor`] keeps it.
 impl AdjacencyStore for Adjacency {
-    type View<'a> = &'a Adjacency;
+    type View<'a> = BlockView<'a>;
 
-    fn view(&self, _lo: VertexId, _hi: VertexId) -> &Adjacency {
-        self
+    fn view(&self, lo: VertexId, hi: VertexId) -> BlockView<'_> {
+        self.block_view(lo, hi)
     }
 
-    fn view_span(&self, _v: VertexId) -> (VertexId, VertexId) {
-        (0, self.num_vertices() as VertexId)
+    fn view_span(&self, v: VertexId) -> (VertexId, VertexId) {
+        self.block_span(v)
     }
 
     fn store_num_vertices(&self) -> usize {
@@ -93,10 +96,10 @@ impl AdjacencyStore for Adjacency {
     }
 }
 
-impl AdjacencyView for &Adjacency {
+impl AdjacencyView for BlockView<'_> {
     #[inline]
     fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        (self.neighbors(v), self.weights(v))
+        BlockView::list(self, v)
     }
 }
 
