@@ -17,7 +17,9 @@
 //!   simulated worker, i.e. what the deterministic schedule yields on
 //!   unconstrained hardware. On a machine with at least `total_workers`
 //!   hardware threads the two agree; the JSON records `hardware_threads` so a
-//!   single-core container's numbers are read correctly.
+//!   single-core container's numbers are read correctly. Within each node
+//!   count the run asserts that `total_work`, `iterations`, `messages` and
+//!   `chunks_skipped` are identical at every worker count.
 //! * **redundancy** — SSSP with RR on vs off on a deep layered graph, wall
 //!   clock, demonstrating that redundancy reduction wins in real time, not
 //!   just counted work.
@@ -148,6 +150,7 @@ where
     let mut points = Vec::new();
     let mut baseline = None;
     for &nodes in nodes_list {
+        let mut counted_at_1_worker = None;
         for &workers in workers_list {
             let config = EngineConfig::default().with_trace(false);
             let engine = SlfeEngine::build(graph, ClusterConfig::new(nodes, workers), config);
@@ -170,6 +173,14 @@ where
                 chunks_skipped: result.stats.totals.chunks_skipped,
             });
             let p = points.last().unwrap();
+            // One executor at every worker count: the counted metrics must
+            // not depend on how many workers ran the phases.
+            let counted = (p.total_work, p.iterations, p.messages, p.chunks_skipped);
+            let expected = *counted_at_1_worker.get_or_insert(counted);
+            assert_eq!(
+                counted, expected,
+                "{nodes}x{workers}: (total_work, iterations, messages, chunks_skipped) differ from {nodes}x1"
+            );
             eprintln!(
                 "  {nodes}x{workers} ({} total): {:.4}s wall ({:.2}x vs 1 worker, schedule parallelism {:.2}x, {} spawned)",
                 p.total_workers, p.wall_seconds, p.speedup_vs_1_worker, p.schedule_parallelism, p.threads_spawned
@@ -297,7 +308,7 @@ fn main() {
         json,
         "  \"git_commit\": {},\n  \"hardware_threads\": {hardware_threads},\n  \"note\": {},\n",
         json::string(&slfe_bench::git_commit()),
-        json::string("speedup_vs_1_worker is measured wall clock against the (1 node, 1 worker) baseline and is bounded by hardware_threads; schedule_parallelism is counted work / busiest simulated worker over the deterministic degree-aware schedule and shows what total_workers yield on unconstrained hardware; threads_spawned pins the persistent pool (always total_workers - 1, however many iterations ran)")
+        json::string("speedup_vs_1_worker is measured wall clock against the (1 node, 1 worker) baseline and is bounded by hardware_threads; schedule_parallelism is counted work / busiest simulated worker over the deterministic degree-aware schedule and shows what total_workers yield on unconstrained hardware; threads_spawned pins the persistent pool (always total_workers - 1, however many iterations ran); total_work, iterations, messages and chunks_skipped are asserted identical across the worker counts of each node count")
     );
     let _ = writeln!(
         json,

@@ -501,7 +501,7 @@ fn main() {
         out,
         "  \"git_commit\": {},\n  \"hardware_threads\": {hardware_threads},\n  \"note\": {},\n",
         json::string(&slfe_bench::git_commit()),
-        json::string("telemetry off vs on for every registered app at 1 and 4 workers: values are asserted bit-identical and counters equal, so counted_overhead_ratio is the machine-independent overhead measure (asserted < 1.05); wall ratios depend on hardware_threads and load. Latency tables come from a durable out-of-core SSSP server applying seeded batches with telemetry on; pool fractions are measured over the server pool's lifetime. A 1-worker pool reports zero phases because single-worker schedules run inline on the coordinator (the sequential-oracle path never enters the pool)")
+        json::string("telemetry off vs on for every registered app at 1 and 4 workers: values are asserted bit-identical and counters equal, so counted_overhead_ratio is the machine-independent overhead measure (asserted < 1.05); wall ratios depend on hardware_threads and load. Latency tables come from a durable out-of-core SSSP server applying seeded batches with telemetry on; pool fractions are measured over the server pool's lifetime. A 1-worker pool reports zero phases because single-worker schedules run inline on the coordinator instead of entering the pool")
     );
     let _ = writeln!(
         out,

@@ -72,14 +72,16 @@ pub struct EngineConfig {
     /// Fraction of edges that must be active for the engine to prefer pull over
     /// push (Gemini's direction-switching heuristic; the paper inherits it).
     pub pull_threshold: f64,
-    /// Push-mode scratch representation switch: when the active-vertex fraction
-    /// of a push phase is below this threshold, workers fold contributions into
-    /// compact open-addressed maps (memory proportional to the touched
-    /// destinations) instead of dense `O(n)` gather buffers. Values and
-    /// counters are bit-identical either way — the knob trades per-edge probe
-    /// cost against footprint and zeroing overhead. `0.0` forces dense scratch
-    /// everywhere; anything `> 1.0` forces sparse scratch everywhere (useful
-    /// for the equivalence tests).
+    /// Push-mode scratch representation switch: when a push phase's active
+    /// out-edges (the frontier's summed out-degree, an upper bound on the
+    /// destinations it can touch) number fewer than this fraction of |V|,
+    /// workers fold contributions into compact open-addressed maps (memory
+    /// proportional to the touched destinations) instead of dense `O(n)`
+    /// gather buffers. Values and counters are bit-identical either way —
+    /// the knob trades per-edge probe cost against footprint and zeroing
+    /// overhead. `0.0` forces dense scratch everywhere; any value above
+    /// |E|/|V| (e.g. `f64::INFINITY`) forces sparse scratch everywhere
+    /// (useful for the equivalence tests).
     pub sparse_push_density: f64,
     /// Out-of-core execution: when set, the engine writes the graph's CSR/CSC
     /// to disk in segments at build time and every traversal phase streams

@@ -59,26 +59,23 @@
 //!   — including arithmetic (floating-point) sums — are **bit-for-bit identical**
 //!   for every worker count, as are all counters and message tallies.
 //! * **Push mode** (min/max only — arithmetic programs never push): workers fold
-//!   contributions into worker-local buffers which are combined once per
-//!   destination at the barrier. Because a min/max `combine` is idempotent,
-//!   commutative and associative, the merged values are **bit-for-bit identical**
-//!   to the sequential result for every worker count. Work/update counters in
-//!   parallel push are counted per merged destination (not per improving edge), so
-//!   with more than one worker per node they can differ slightly from the
-//!   single-worker tally; messages are charged once per changed remote
-//!   destination per *contributing sender node* (sender-side aggregation — the
-//!   sender set is tracked exactly through the per-worker node masks).
-//! * **`workers_per_node: 1`** keeps the historical sequential push path (nodes
-//!   in ascending order, per-edge counting) and a single simulated worker per
-//!   node — it reproduces the pre-parallelism sequential engine bit-for-bit,
-//!   counters and simulated seconds included, and serves as the deterministic
-//!   oracle for the parallel paths. (Pull phases still *execute* on the global
-//!   pool even then; their per-destination accounting makes that invisible.)
+//!   contributions into worker-local buffers; at the barrier workers 1.. fold
+//!   into worker 0's buffer, which is then applied once per destination.
+//!   Because a min/max `combine` is idempotent, commutative and associative,
+//!   the merged values are **bit-for-bit identical** for every worker count.
+//!   Update counters are counted once per merged destination per iteration,
+//!   and messages once per changed remote destination per *contributing
+//!   sender node* (sender-side aggregation — the sender set is tracked exactly
+//!   through the per-worker node masks), so they too are identical at every
+//!   worker count.
 //!
-//! Which physical worker processes which chunk remains nondeterministic under
-//! stealing; every result, counter total, message tally and — since the
-//! schedule is now simulated from deterministic per-chunk costs — every
-//! per-worker load and simulated-seconds figure above is not.
+//! There is one executor: every phase, at every worker count including 1,
+//! runs the layout's chunks on the pool (one worker runs them inline on the
+//! calling thread). Which physical worker processes which chunk remains
+//! nondeterministic under stealing; every result, every counter total except
+//! the scratch footprint and the out-of-core I/O statistics, every message
+//! tally and — since the schedule is simulated from deterministic per-chunk
+//! costs — every per-worker load and simulated-seconds figure above is not.
 //!
 //! # Activity-proportional execution (PR 4)
 //!
@@ -108,19 +105,20 @@
 //!   `edge_computations` and pull-mode mirror messages — which is precisely
 //!   the saving being measured. Skipped chunks cost 0 in the simulated
 //!   per-node schedule and are tallied in [`Counters::chunks_skipped`].
-//! * **Sparse push scratch.** Below
-//!   [`crate::EngineConfig::sparse_push_density`] (active-vertex fraction),
-//!   push workers fold contributions into compact open-addressed maps
-//!   (destination → value + contributing-node mask) instead of dense O(n)
-//!   buffers, and the barrier merge walks only live entries (applied in
-//!   ascending destination order). Because a min/max `combine` is idempotent,
-//!   commutative and associative, and the per-sender-node masks are preserved
-//!   exactly, the merged values, counters and message tallies are bit-for-bit
-//!   identical to the dense representation. Dense scratch (including the
-//!   shared merge buffers) is allocated lazily on the first *dense* push
-//!   phase, so warm `push_only` restarts and arithmetic (pull-only) runs never
-//!   pay the `total_workers × O(n)` footprint; the live footprint is reported
-//!   in [`Counters::scratch_bytes_peak`].
+//! * **Sparse push scratch.** While the frontier's out-edges number fewer
+//!   than [`crate::EngineConfig::sparse_push_density`] × |V|, push workers
+//!   fold contributions into compact open-addressed maps (destination →
+//!   value + contributing-node mask) instead of dense O(n) buffers, and the
+//!   barrier merge walks only live entries. Because a min/max `combine` is
+//!   idempotent, commutative and associative, the per-sender-node masks are
+//!   preserved exactly, and every effect of applying a destination is either
+//!   per-destination or a commutative sum, the merged values, counters and
+//!   message tallies are bit-for-bit identical to the dense representation,
+//!   whatever order the entries are applied in. Dense scratch is allocated
+//!   lazily on the first *dense* push phase, so warm `push_only` restarts and
+//!   arithmetic (pull-only) runs never pay the `total_workers × O(n)`
+//!   footprint; the live footprint is reported in
+//!   [`Counters::scratch_bytes_peak`].
 //!
 //! **Memory trade-off:** dense scratch is per *pool* worker, so a dense push
 //! phase allocates `total_workers` (not `workers_per_node`) O(n) buffers — for
@@ -197,15 +195,16 @@ const EMPTY_KEY: u32 = u32::MAX;
 /// Open-addressed (linear-probe, power-of-two capacity) map from destination
 /// vertex to a folded push contribution plus its contributing-sender-node
 /// mask: the sparse counterpart of the dense `local_values`/`touched`/
-/// `contrib_nodes` trio. Used by push phases whose frontier density is below
-/// [`crate::EngineConfig::sparse_push_density`], so memory and merge time are
-/// proportional to the destinations actually touched, not to |V|.
+/// `contrib_nodes` trio. Used by push phases whose frontier has fewer
+/// out-edges than [`crate::EngineConfig::sparse_push_density`] × |V|, so
+/// memory and merge time are proportional to the destinations actually
+/// touched, not to |V|.
 ///
 /// Hash/probe order never reaches the results: contributions fold per
 /// destination with the program's idempotent-commutative-associative min/max
-/// `combine`, masks fold with bitwise OR, and the barrier applies destinations
-/// in ascending id order — so values, counters and message tallies are
-/// bit-identical to the dense representation.
+/// `combine`, masks fold with bitwise OR, and applying a destination has only
+/// per-destination effects and commutative sums — so values, counters and
+/// message tallies are bit-identical to the dense representation.
 struct SparsePushMap<V> {
     /// Destination keys, `EMPTY_KEY` = free. Length is 0 or a power of two.
     keys: Vec<u32>,
@@ -429,7 +428,7 @@ pub struct SlfeEngine<'g> {
     /// the guidance it already holds.
     rrg: Arc<RrGuidance>,
     /// The persistent worker pool: `total_workers` threads spawned once here
-    /// (or inherited via [`SlfeEngine::with_cluster_guidance_and_pool`]) and
+    /// (or inherited via [`SlfeEngine::with_prebuilt_layout_and_storage`]) and
     /// reused by every phase of every run, including RRG preprocessing.
     pool: Arc<WorkerPool>,
     /// Degree-aware, cluster-wide chunk layout (built once per graph version,
@@ -464,77 +463,23 @@ pub struct SlfeEngine<'g> {
 }
 
 impl<'g> SlfeEngine<'g> {
-    /// Partition `graph` across a fresh cluster and generate the RR guidance.
+    /// Partition `graph` across a fresh cluster, spawn its worker pool,
+    /// generate the RR guidance on that pool, cut the chunk layout and (in
+    /// out-of-core mode) write the adjacency segments.
     pub fn build(graph: &'g Graph, cluster_config: ClusterConfig, config: EngineConfig) -> Self {
         let cluster = Cluster::build(graph, cluster_config);
-        Self::with_cluster(graph, cluster, config)
-    }
-
-    /// Build the engine around an existing cluster (custom partitioning).
-    pub fn with_cluster(graph: &'g Graph, cluster: Cluster, config: EngineConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
         let wall_start = Instant::now();
         let rrg = RrGuidance::generate_parallel_on(graph, &pool);
         let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
-        let mut engine = Self::with_cluster_guidance_and_pool(graph, cluster, config, rrg, pool);
-        engine.preprocessing_wall_seconds = preprocessing_wall_seconds;
-        engine
-    }
-
-    /// Build the engine around an existing cluster **and** an existing guidance —
-    /// the incremental-serving path, where the guidance was repaired from the
-    /// previous graph version ([`RrGuidance::repair`]) instead of regenerated.
-    ///
-    /// The simulated preprocessing charge uses the guidance's recorded generation
-    /// work, which for a repaired guidance is the (much smaller) repair cost.
-    pub fn with_cluster_and_guidance(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-    ) -> Self {
-        let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
-        Self::with_cluster_guidance_and_pool(graph, cluster, config, rrg, pool)
-    }
-
-    /// [`SlfeEngine::with_cluster_and_guidance`] reusing an existing worker
-    /// pool instead of spawning one — the warm-serving path:
-    /// `slfe_delta::DeltaServer` builds one pool at startup and threads it
-    /// through every graph version's engine, so applying a batch spawns zero
-    /// threads. The pool must have at least `total_workers` threads.
-    pub fn with_cluster_guidance_and_pool(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
         let layout = cluster.build_layout(graph);
-        Self::with_prebuilt_layout(graph, cluster, config, rrg, pool, layout)
-    }
-
-    /// [`SlfeEngine::with_cluster_guidance_and_pool`] reusing a prebuilt chunk
-    /// layout instead of deriving one — the serving path's final piece:
-    /// `slfe_delta::DeltaServer` patches the previous graph version's layout
-    /// at the batch's dirty endpoints ([`GlobalChunkLayout::patched`]) and
-    /// hands it here, so applying a batch pays neither a thread spawn nor an
-    /// O(V+E) layout scan+sort. The layout must span the cluster's nodes and
-    /// cover each node's owned vertices exactly.
-    pub fn with_prebuilt_layout(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-        pool: Arc<WorkerPool>,
-        layout: GlobalChunkLayout,
-    ) -> Self {
         let storage = config.storage_config().map(|sc| {
             Arc::new(
                 GraphStorage::build(graph, &sc)
                     .expect("failed to write out-of-core graph segments"),
             )
         });
-        Self::with_prebuilt_layout_and_storage(
+        let mut engine = Self::with_prebuilt_layout_and_storage(
             graph,
             cluster,
             config,
@@ -542,18 +487,29 @@ impl<'g> SlfeEngine<'g> {
             pool,
             Arc::new(layout),
             storage,
-        )
+        );
+        engine.preprocessing_wall_seconds = preprocessing_wall_seconds;
+        engine
     }
 
-    /// [`SlfeEngine::with_prebuilt_layout`] reusing an existing out-of-core
-    /// store instead of re-writing the segments — the serving path:
-    /// `slfe_delta::DeltaServer` patches only the dirty segments of the
-    /// previous graph version's store ([`GraphStorage::patched`]) and hands
-    /// the patched generation here, so applying a batch re-encodes `O(dirty
-    /// segments)` bytes rather than the whole graph. `storage`, when present,
-    /// must cover the engine's graph; when `None` the engine runs in-memory
-    /// regardless of what the configuration requests. The guidance and the
-    /// layout are shared with the caller, never copied.
+    /// Build the engine from artifacts the caller already holds — the serving
+    /// path: `slfe_delta::DeltaServer` hands every graph version's engine
+    ///
+    /// * the guidance it repaired from the previous version
+    ///   ([`RrGuidance::repair`]); the simulated preprocessing charge uses the
+    ///   guidance's recorded generation work, which for a repaired guidance
+    ///   is the (much smaller) repair cost;
+    /// * the one worker pool it built at startup, so applying a batch spawns
+    ///   zero threads (the pool must have at least `total_workers` threads);
+    /// * the previous version's chunk layout patched at the batch's dirty
+    ///   endpoints ([`GlobalChunkLayout::patched`]), which must span the
+    ///   cluster's nodes and cover each node's owned vertices exactly;
+    /// * in out-of-core mode, the previous store with only its dirty
+    ///   segments rewritten ([`GraphStorage::patched`]), which must cover the
+    ///   engine's graph. When `None` the engine runs in-memory regardless of
+    ///   what the configuration requests.
+    ///
+    /// The guidance and the layout are shared with the caller, never copied.
     pub fn with_prebuilt_layout_and_storage(
         graph: &'g Graph,
         cluster: Cluster,
@@ -1036,14 +992,6 @@ impl<'g> SlfeEngine<'g> {
         let mut worker_states: Vec<WorkerScratch<P::Value>> = (0..total_workers)
             .map(|_| WorkerScratch::new(n, num_nodes, mask_words))
             .collect();
-        // Dense push merge buffers: lazily allocated alongside the workers'
-        // dense scratch by the first dense push phase. Sparse phases merge
-        // through `merged_sparse` + `sparse_order` instead.
-        let mut merged_values: Vec<P::Value> = Vec::new();
-        let mut merged_touched = Bitset::new(0);
-        let mut merged_nodes: Vec<u64> = Vec::new();
-        let mut merged_sparse: SparsePushMap<P::Value> = SparsePushMap::new(mask_words);
-        let mut sparse_order: Vec<(u32, usize)> = Vec::new();
         // The global executor claims the layout's chunks one at a time across
         // every node; measured per-chunk costs feed the simulated-cluster
         // schedule after each phase.
@@ -1091,10 +1039,25 @@ impl<'g> SlfeEngine<'g> {
             }
             iterations_run = iter;
             let iter_span = rec.begin();
-            let mode = if force_flush || (seed.push_only && !arithmetic) {
-                Mode::Push
+            // Out-edges leaving the frontier (min/max programs only; an
+            // arithmetic program always pulls). Gemini's direction switch,
+            // inherited by the paper, pulls once they exceed `pull_threshold`
+            // × |E|; a forced flush (empty frontier) and a warm `push_only`
+            // restart always push.
+            let mut active_edges: u64 = if arithmetic {
+                0
             } else {
-                self.select_mode(program, &active, active_count)
+                active
+                    .iter_ones()
+                    .map(|v| graph.out_degree(v as VertexId) as u64)
+                    .sum()
+            };
+            let dense_frontier =
+                active_edges as f64 > graph.num_edges() as f64 * self.config.pull_threshold;
+            let mode = if arithmetic || (dense_frontier && !force_flush && !seed.push_only) {
+                Mode::Pull
+            } else {
+                Mode::Push
             };
             let mode_name = match mode {
                 Mode::Pull => "pull",
@@ -1118,6 +1081,7 @@ impl<'g> SlfeEngine<'g> {
             if full_push {
                 active.fill();
                 active_count = n;
+                active_edges = graph.num_edges() as u64;
             }
 
             // Synchronous (BSP) semantics: every edge computation of this iteration
@@ -1131,72 +1095,65 @@ impl<'g> SlfeEngine<'g> {
             // vertex-update count (see the module docs for the safety argument
             // per rule), and every input is barrier-merged state, so the
             // decision — and with it every counter — is deterministic at any
-            // worker count. The sequential `workers == 1` push path stays
-            // chunk-free and therefore untouched.
-            let global_phase = !(mode == Mode::Push && workers == 1);
+            // worker count.
+            //
             // Ruler bounds are only consulted by ruler-gated min/max runs, and
             // computing them is an O(V) scan — warm (rulers-off) restarts must
             // not pay it, so it stays behind the lazy accessor.
             let rr_bounds = (rr && !arithmetic).then(|| self.chunk_rr_bounds());
-            if global_phase {
-                let chunks = self.layout.chunks();
-                for (ci, chunk) in chunks.iter().enumerate() {
-                    chunk_skip[ci] = match mode {
-                        // A push chunk with no active source does nothing. The
-                        // popcount is affordable by construction on contiguous
-                        // partitionings (span ≈ chunk size); a foreign-id-
-                        // riddled span that would cost more words to probe
-                        // than the chunk's own work is simply visited.
-                        Mode::Push => {
-                            let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
-                            probe_words <= chunk.estimate
-                                && active.count_in_range(
-                                    chunk.span_start as usize,
-                                    chunk.span_end as usize,
-                                ) == 0
-                        }
-                        Mode::Pull if arithmetic => {
-                            // Every vertex early-converged: each would be
-                            // individually skipped by the multi ruler.
-                            rr && chunk_converged[ci] as usize == chunk.len()
-                        }
-                        Mode::Pull => {
-                            if rr_bounds.is_some_and(|b| iter < b[ci].0) {
-                                // Entirely rr-gated: every vertex "starts late".
-                                true
-                            } else if chunk.has_no_in_edges() {
-                                // Nothing to gather, min/max apply is a no-op.
-                                true
-                            } else {
-                                // Caught-up chunk none of whose in-neighbors
-                                // changed last iteration: every gather would
-                                // refold the exact bits it already folded. The
-                                // probe is bounded by the gather it can skip:
-                                // a hub-wide in-span whose frontier words
-                                // outnumber the chunk's estimated work is not
-                                // worth probing.
-                                let probe_words = (chunk.in_end - chunk.in_start) as u64 / 64 + 1;
-                                chunk_caught_up[ci]
-                                    && probe_words <= chunk.estimate
-                                    && !active.any_in_range(
-                                        chunk.in_start as usize,
-                                        chunk.in_end as usize,
-                                    )
-                            }
-                        }
-                    };
-                    if chunk_skip[ci] {
-                        iter_counters.chunks_skipped += 1;
+            for (ci, chunk) in self.layout.chunks().iter().enumerate() {
+                chunk_skip[ci] = match mode {
+                    // A push chunk with no active source does nothing. The
+                    // popcount is affordable by construction on contiguous
+                    // partitionings (span ≈ chunk size); a foreign-id-riddled
+                    // span that would cost more words to probe than the
+                    // chunk's own work is simply visited.
+                    Mode::Push => {
+                        let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
+                        probe_words <= chunk.estimate
+                            && active
+                                .count_in_range(chunk.span_start as usize, chunk.span_end as usize)
+                                == 0
                     }
+                    Mode::Pull if arithmetic => {
+                        // Every vertex early-converged: each would be
+                        // individually skipped by the multi ruler.
+                        rr && chunk_converged[ci] as usize == chunk.len()
+                    }
+                    Mode::Pull => {
+                        if rr_bounds.is_some_and(|b| iter < b[ci].0) {
+                            // Entirely rr-gated: every vertex "starts late".
+                            true
+                        } else if chunk.has_no_in_edges() {
+                            // Nothing to gather, min/max apply is a no-op.
+                            true
+                        } else {
+                            // Caught-up chunk none of whose in-neighbors
+                            // changed last iteration: every gather would
+                            // refold the exact bits it already folded. The
+                            // probe is bounded by the gather it can skip: a
+                            // hub-wide in-span whose frontier words outnumber
+                            // the chunk's estimated work is not worth probing.
+                            let probe_words = (chunk.in_end - chunk.in_start) as u64 / 64 + 1;
+                            chunk_caught_up[ci]
+                                && probe_words <= chunk.estimate
+                                && !active
+                                    .any_in_range(chunk.in_start as usize, chunk.in_end as usize)
+                        }
+                    }
+                };
+                if chunk_skip[ci] {
+                    iter_counters.chunks_skipped += 1;
                 }
             }
-            // Sparse-vs-dense push scratch: below the density threshold the
-            // workers fold into compact maps; the representation is chosen once
-            // per phase from merged state, so it too is worker-count-invariant.
+            // Sparse-vs-dense push scratch: a phase touches at most one
+            // destination per active out-edge, so below the density
+            // threshold the workers fold into compact maps. The choice is
+            // made once per phase from merged state, so it too is
+            // worker-count-invariant.
             let sparse_push = mode == Mode::Push
-                && global_phase
-                && (active_count as f64) < self.config.sparse_push_density * n as f64;
-            if mode == Mode::Push && global_phase && !sparse_push {
+                && (active_edges as f64) < self.config.sparse_push_density * n as f64;
+            if mode == Mode::Push && !sparse_push {
                 // A dense phase supersedes the maps: release their capacity so
                 // mixed runs do not hold both representations at peak (the
                 // sparse tail after the dense wave regrows small maps cheaply).
@@ -1204,194 +1161,140 @@ impl<'g> SlfeEngine<'g> {
                     ws.ensure_dense(n, mask_words, program.identity());
                     ws.sparse.release();
                 }
-                merged_sparse.release();
-                if merged_touched.len() != n {
-                    merged_values = vec![program.identity(); n];
-                    merged_touched = Bitset::new(n);
-                    merged_nodes = vec![0u64; n * mask_words];
-                }
             }
 
-            if mode == Mode::Push && workers == 1 {
-                // Historical sequential push: nodes in ascending order with
-                // per-edge counting — the `workers_per_node: 1` oracle path the
-                // determinism guarantees are anchored to.
-                let phase_span = rec.begin();
-                for node in self.cluster.nodes() {
-                    let outcome = self.push_phase_sequential(
+            // One global phase: every node's chunks on the machine-wide pool.
+            let phase_span = rec.begin();
+            match mode {
+                Mode::Pull => {
+                    newly_converged.fill(0);
+                    self.pull_phase_global(
                         program,
-                        out_store,
-                        node,
+                        in_store,
                         iter,
+                        rr,
+                        arithmetic,
                         tolerance,
-                        &active,
                         &prev_values,
                         &mut values,
-                        &mut next_active,
-                        &mut changed_this_iter,
+                        &mut stable_count,
+                        &mut stable_value,
                         &mut last_changed_iter,
-                        &mut iter_counters,
-                    );
-                    per_node_worker_work[node][0] += outcome.total_work;
-                    self.cluster.record_node_work(node, outcome.total_work);
-                    iteration_node_makespan = iteration_node_makespan.max(outcome.makespan());
-                }
-                // Sequential push executes on the calling thread (worker 0);
-                // the execute window coincides with the phase.
-                rec.end_on(phase_span, "execute", mode_name, 0);
-                rec.end(phase_span, "phase", mode_name);
-            } else {
-                // One global phase: every node's chunks on the machine-wide pool.
-                let phase_span = rec.begin();
-                match mode {
-                    Mode::Pull => {
-                        newly_converged.fill(0);
-                        self.pull_phase_global(
-                            program,
-                            in_store,
-                            iter,
-                            rr,
-                            arithmetic,
-                            tolerance,
-                            &prev_values,
-                            &mut values,
-                            &mut stable_count,
-                            &mut stable_value,
-                            &mut last_changed_iter,
-                            &mut worker_states,
-                            &global_scheduler,
-                            &mut chunk_costs,
-                            &chunk_skip,
-                            &mut newly_converged,
-                        );
-                        if arithmetic && rr {
-                            for (count, fresh) in chunk_converged.iter_mut().zip(&newly_converged) {
-                                *count += fresh;
-                            }
-                        }
-                    }
-                    Mode::Push => self.push_phase_global(
-                        program,
-                        out_store,
-                        iter,
-                        tolerance,
-                        &active,
-                        &prev_values,
-                        &mut values,
-                        &mut next_active,
-                        &mut changed_this_iter,
-                        &mut last_changed_iter,
-                        &mut iter_counters,
                         &mut worker_states,
                         &global_scheduler,
                         &mut chunk_costs,
                         &chunk_skip,
-                        sparse_push,
-                        &mut merged_values,
-                        &mut merged_touched,
-                        &mut merged_nodes,
-                        &mut merged_sparse,
-                        &mut sparse_order,
-                        mask_words,
-                        &mut merge_work_by_node,
-                    ),
-                }
-                rec.end(phase_span, "phase", mode_name);
-                // The phase's pool barrier has passed: every worker's execute
-                // window is quiescent, so draining them here is race-free (the
-                // "per-worker lock-free buffers drained at barriers" rule).
-                for (w, ws) in worker_states.iter_mut().enumerate() {
-                    rec.worker_window(&mut ws.window, "execute", mode_name, w as u32);
-                }
-                if mode == Mode::Push {
-                    // High-water mark of the push gather scratch actually
-                    // allocated (capacities persist across `clear`, so this is
-                    // the live footprint, not the phase's touched count). Each
-                    // worker reports its own live footprint; the shared merge
-                    // buffers are the engine's. The barrier merge below sums
-                    // the concurrent windows (`Counters::merge_concurrent`) —
-                    // every worker's scratch is live *simultaneously* at this
-                    // barrier, so a max would under-report the true peak by up
-                    // to the worker count.
-                    for ws in worker_states.iter_mut() {
-                        ws.counters.scratch_bytes_peak = ws.scratch_bytes();
-                    }
-                    iter_counters.scratch_bytes_peak =
-                        (merged_values.len() * std::mem::size_of::<P::Value>()
-                            + merged_touched.words().len() * 8
-                            + merged_nodes.len() * 8) as u64
-                            + merged_sparse.bytes();
-                }
-
-                // Merge per-worker scratch at the iteration barrier: counters,
-                // change tallies, activated frontier bits and the message
-                // matrix. Concurrent-window semantics: flow counters sum, and
-                // so do the simultaneously-live scratch footprints.
-                let barrier_span = rec.begin();
-                let merge_span = rec.begin();
-                for ws in worker_states.iter_mut() {
-                    iter_counters = iter_counters.merge_concurrent(ws.counters);
-                    ws.counters = Counters::zero();
-                    changed_this_iter += ws.changed;
-                    ws.changed = 0;
-                    if ws.next_frontier.any() {
-                        next_active.union_with(&ws.next_frontier);
-                        ws.next_frontier.clear();
-                    }
-                    for src_node in 0..num_nodes {
-                        for dst_node in 0..num_nodes {
-                            let idx = src_node * num_nodes + dst_node;
-                            if ws.messages[idx] != 0 {
-                                self.cluster.record_node_messages(
-                                    src_node,
-                                    dst_node,
-                                    ws.messages[idx],
-                                    ws.bytes[idx],
-                                );
-                                ws.messages[idx] = 0;
-                                ws.bytes[idx] = 0;
-                            }
+                        &mut newly_converged,
+                    );
+                    if arithmetic && rr {
+                        for (count, fresh) in chunk_converged.iter_mut().zip(&newly_converged) {
+                            *count += fresh;
                         }
                     }
                 }
-                rec.end(merge_span, "merge", "engine");
-
-                // Simulated-cluster accounting: in the *model* each node still
-                // only has `workers_per_node` workers, however many pool threads
-                // physically ran its chunks. Re-assign the measured per-chunk
-                // costs greedily (least-loaded, layout order — what stealing
-                // converges to); apply work joins the owner's least-loaded
-                // worker. The iteration is bounded by the slowest node's busiest
-                // worker; because chunk costs are deterministic, so is the whole
-                // schedule, at every worker count.
-                for node in self.cluster.nodes() {
-                    let mut sim =
-                        self.layout
-                            .simulate_node(node, workers, self.config.scheduling, |c| {
-                                chunk_costs[c]
-                            });
-                    let merge = std::mem::take(&mut merge_work_by_node[node]);
-                    if merge > 0 {
-                        let (idx, _) = sim
-                            .per_worker_work
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(i, &w)| (w, *i))
-                            .expect("at least one worker");
-                        sim.per_worker_work[idx] += merge;
-                        sim.total_work += merge;
-                    }
-                    for (w, load) in per_node_worker_work[node]
-                        .iter_mut()
-                        .zip(&sim.per_worker_work)
-                    {
-                        *w += load;
-                    }
-                    self.cluster.record_node_work(node, sim.total_work);
-                    iteration_node_makespan = iteration_node_makespan.max(sim.makespan());
-                }
-                rec.end(barrier_span, "barrier", "engine");
+                Mode::Push => self.push_phase_global(
+                    program,
+                    out_store,
+                    iter,
+                    tolerance,
+                    &active,
+                    &prev_values,
+                    &mut values,
+                    &mut next_active,
+                    &mut changed_this_iter,
+                    &mut last_changed_iter,
+                    &mut iter_counters,
+                    &mut worker_states,
+                    &global_scheduler,
+                    &mut chunk_costs,
+                    &chunk_skip,
+                    sparse_push,
+                    mask_words,
+                    &mut merge_work_by_node,
+                    &mut rec,
+                ),
             }
+            rec.end(phase_span, "phase", mode_name);
+            // The phase's pool barrier has passed: every worker's execute
+            // window is quiescent, so draining them here is race-free (the
+            // "per-worker lock-free buffers drained at barriers" rule).
+            for (w, ws) in worker_states.iter_mut().enumerate() {
+                rec.worker_window(&mut ws.window, "execute", mode_name, w as u32);
+            }
+
+            // Merge per-worker scratch at the iteration barrier: counters,
+            // change tallies, activated frontier bits and the message
+            // matrix. Concurrent-window semantics: flow counters sum, and so
+            // do the simultaneously-live push scratch footprints — every
+            // worker's scratch is live *simultaneously* at this barrier, so a
+            // max would under-report the true peak by up to the worker count.
+            // (Capacities persist across `clear`, so each worker reports its
+            // live footprint, not the phase's touched count.)
+            let barrier_span = rec.begin();
+            let merge_span = rec.begin();
+            for ws in worker_states.iter_mut() {
+                if mode == Mode::Push {
+                    ws.counters.scratch_bytes_peak = ws.scratch_bytes();
+                }
+                iter_counters = iter_counters.merge_concurrent(ws.counters);
+                ws.counters = Counters::zero();
+                changed_this_iter += ws.changed;
+                ws.changed = 0;
+                if ws.next_frontier.any() {
+                    next_active.union_with(&ws.next_frontier);
+                    ws.next_frontier.clear();
+                }
+                for src_node in 0..num_nodes {
+                    for dst_node in 0..num_nodes {
+                        let idx = src_node * num_nodes + dst_node;
+                        if ws.messages[idx] != 0 {
+                            self.cluster.record_node_messages(
+                                src_node,
+                                dst_node,
+                                ws.messages[idx],
+                                ws.bytes[idx],
+                            );
+                            ws.messages[idx] = 0;
+                            ws.bytes[idx] = 0;
+                        }
+                    }
+                }
+            }
+            rec.end(merge_span, "merge", "engine");
+
+            // Simulated-cluster accounting: in the *model* each node only has
+            // `workers_per_node` workers, however many pool threads
+            // physically ran its chunks. Re-assign the measured per-chunk
+            // costs greedily (least-loaded, layout order — what stealing
+            // converges to); apply work joins the owner's least-loaded
+            // worker. The iteration is bounded by the slowest node's busiest
+            // worker; because chunk costs are deterministic, so is the whole
+            // schedule, at every worker count.
+            for node in self.cluster.nodes() {
+                let mut sim =
+                    self.layout
+                        .simulate_node(node, workers, self.config.scheduling, |c| chunk_costs[c]);
+                let merge = std::mem::take(&mut merge_work_by_node[node]);
+                if merge > 0 {
+                    let (idx, _) = sim
+                        .per_worker_work
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(i, &w)| (w, *i))
+                        .expect("at least one worker");
+                    sim.per_worker_work[idx] += merge;
+                    sim.total_work += merge;
+                }
+                for (w, load) in per_node_worker_work[node]
+                    .iter_mut()
+                    .zip(&sim.per_worker_work)
+                {
+                    *w += load;
+                }
+                self.cluster.record_node_work(node, sim.total_work);
+                iteration_node_makespan = iteration_node_makespan.max(sim.makespan());
+            }
+            rec.end(barrier_span, "barrier", "engine");
 
             // Graduate min/max chunks to frontier-based pull skipping: a chunk
             // is "caught up" once every one of its vertices has gathered all
@@ -1506,35 +1409,6 @@ impl<'g> SlfeEngine<'g> {
             last_changed_iter,
             per_node_worker_work,
             converged,
-        }
-    }
-
-    /// Direction selection: arithmetic programs always pull; min/max programs pull
-    /// when the active edge fraction exceeds the threshold (dense frontier) and push
-    /// otherwise (Gemini's heuristic, inherited by the paper).
-    fn select_mode<P: GraphProgram>(
-        &self,
-        program: &P,
-        active: &Bitset,
-        active_count: usize,
-    ) -> Mode {
-        if program.aggregation() == AggregationKind::Arithmetic {
-            return Mode::Pull;
-        }
-        if active_count == 0 {
-            // Only reachable for the RR flush: a push with full reactivation
-            // delivers any updates that "late started" vertices missed.
-            return Mode::Push;
-        }
-        let active_edges: u64 = active
-            .iter_ones()
-            .map(|v| self.graph.out_degree(v as VertexId) as u64)
-            .sum();
-        let threshold = self.graph.num_edges() as f64 * self.config.pull_threshold;
-        if active_edges as f64 > threshold {
-            Mode::Pull
-        } else {
-            Mode::Push
         }
     }
 
@@ -1746,105 +1620,6 @@ impl<'g> SlfeEngine<'g> {
         work
     }
 
-    /// One node's push phase on a single worker: the historical sequential path,
-    /// kept verbatim so `workers_per_node: 1` reproduces the pre-parallelism
-    /// engine bit-for-bit (per-edge update counting included).
-    #[allow(clippy::too_many_arguments)]
-    fn push_phase_sequential<P: GraphProgram, S: AdjacencyStore>(
-        &self,
-        program: &P,
-        out_store: &S,
-        node: usize,
-        iter: u32,
-        tolerance: f64,
-        active: &Bitset,
-        prev_values: &[P::Value],
-        values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
-        counters: &mut Counters,
-    ) -> slfe_cluster::ScheduleOutcome {
-        let owned = self.cluster.vertices_of(node);
-        let mut work = 0u64;
-        // Owned vertices ascend, so one cursor streams the node's CSR
-        // segments in order; inactive sources never touch it.
-        let mut out_cursor = StreamCursor::new(out_store);
-        for &src in owned {
-            if !active.get(src as usize) {
-                continue;
-            }
-            work += self.push_vertex(
-                program,
-                &mut out_cursor,
-                src,
-                iter,
-                tolerance,
-                prev_values,
-                values,
-                next_active,
-                changed_this_iter,
-                last_changed_iter,
-                counters,
-            );
-        }
-        slfe_cluster::ScheduleOutcome {
-            per_worker_work: vec![work],
-            total_work: work,
-        }
-    }
-
-    /// Push-mode processing of one **active** source vertex (Algorithm 3),
-    /// sequential path. Returns the counted work performed.
-    #[allow(clippy::too_many_arguments)]
-    fn push_vertex<P: GraphProgram, S: AdjacencyStore>(
-        &self,
-        program: &P,
-        out_cursor: &mut StreamCursor<'_, S>,
-        src: VertexId,
-        iter: u32,
-        tolerance: f64,
-        prev_values: &[P::Value],
-        values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
-        counters: &mut Counters,
-    ) -> u64 {
-        let s = src as usize;
-        let (out_targets, out_weights) = out_cursor.list(src);
-        if out_targets.is_empty() {
-            return 0;
-        }
-        let mut work = 0u64;
-        let src_owner = self.cluster.owner_of(src);
-        let src_value = prev_values[s];
-        for (&dst, &weight) in out_targets.iter().zip(out_weights) {
-            work += 1;
-            counters.edge_computations += 1;
-            let Some(contribution) = program.edge_contribution(src, src_value, weight) else {
-                continue;
-            };
-            let d = dst as usize;
-            let old = values[d];
-            let new = program.apply(dst, old, contribution);
-            if program.changed(old, new, tolerance) {
-                values[d] = new;
-                counters.vertex_updates += 1;
-                work += 1;
-                last_changed_iter[d] = iter;
-                *changed_this_iter += 1;
-                next_active.set(d);
-                // Remote destinations receive the update as a message.
-                if self.cluster.owner_of(dst) != src_owner {
-                    self.cluster
-                        .record_update_message(src, dst, UPDATE_MESSAGE_BYTES);
-                }
-            }
-        }
-        work
-    }
-
     /// Apply one merged push destination: fold the combined contribution into
     /// the value, and on a change update the frontier/counters and charge one
     /// sender-aggregated message per contributing remote node (from `mask`).
@@ -1898,18 +1673,19 @@ impl<'g> SlfeEngine<'g> {
 
     /// One iteration's **global** push phase on the machine-wide pool. Workers
     /// fold each destination's contributions into worker-local scratch —
-    /// dense O(n) buffers, or compact open-addressed maps when `sparse`
-    /// (frontier density below the configured threshold) — tagging the
-    /// contributing sender node in a per-destination mask; the barrier
-    /// combines the scratch and applies each destination exactly once
-    /// (ascending destination order in both representations). A min/max
-    /// `combine` is idempotent, commutative and associative, so the merged
-    /// values are identical to the sequential result regardless of chunk
-    /// assignment *and* of scratch representation (arithmetic programs never
-    /// push). Messages are charged once per changed remote destination per
-    /// contributing sender node; apply work is attributed to the destination's
-    /// owner in `merge_work_by_node`. Chunks flagged in `skip` hold no active
-    /// source and are left untouched at zero cost.
+    /// dense O(n) buffers, or compact open-addressed maps when `sparse` —
+    /// tagging the contributing sender node in a per-destination mask. At the
+    /// barrier (the `push_merge` span) workers 1.. fold into worker 0's
+    /// scratch, whose entries are then applied once per destination, in
+    /// whatever order the scratch holds them. A min/max `combine` is
+    /// idempotent, commutative and associative, and every effect of an apply
+    /// is per-destination or a commutative sum, so values and counters are
+    /// identical regardless of chunk assignment, worker count, scratch
+    /// representation and apply order (arithmetic programs never push).
+    /// Messages are charged once per changed remote destination per
+    /// contributing sender node; apply work is attributed to the
+    /// destination's owner in `merge_work_by_node`. Chunks flagged in `skip`
+    /// hold no active source and are left untouched at zero cost.
     #[allow(clippy::too_many_arguments)]
     fn push_phase_global<P: GraphProgram, S: AdjacencyStore>(
         &self,
@@ -1929,13 +1705,9 @@ impl<'g> SlfeEngine<'g> {
         chunk_costs: &mut [u64],
         skip: &[bool],
         sparse: bool,
-        merged_values: &mut [P::Value],
-        merged_touched: &mut Bitset,
-        merged_nodes: &mut [u64],
-        merged_sparse: &mut SparsePushMap<P::Value>,
-        sparse_order: &mut Vec<(u32, usize)>,
         mask_words: usize,
         merge_work_by_node: &mut [u64],
+        rec: &mut RunRecorder<'_>,
     ) {
         let chunks = self.layout.chunks();
         let costs_shared = SharedSlice::new(chunk_costs);
@@ -1966,14 +1738,11 @@ impl<'g> SlfeEngine<'g> {
                 let mut out_cursor = StreamCursor::new(out_store);
                 let mut process_source = |ws: &mut WorkerScratch<P::Value>, src: VertexId| -> u64 {
                     let (out_targets, out_weights) = out_cursor.list(src);
-                    if out_targets.is_empty() {
-                        return 0;
-                    }
-                    let mut work = 0u64;
+                    // Every out-edge is one edge computation, contributing or not.
+                    let work = out_targets.len() as u64;
+                    ws.counters.edge_computations += work;
                     let src_value = prev_values[src as usize];
                     for (&dst, &weight) in out_targets.iter().zip(out_weights) {
-                        work += 1;
-                        ws.counters.edge_computations += 1;
                         let Some(contribution) = program.edge_contribution(src, src_value, weight)
                         else {
                             continue;
@@ -2032,41 +1801,68 @@ impl<'g> SlfeEngine<'g> {
             },
         );
 
+        let merge_span = rec.begin();
+        let (first, rest) = worker_states
+            .split_first_mut()
+            .expect("the pool has at least one worker");
         if sparse {
-            // Barrier, sparse representation: fold every worker's live entries
-            // into one combined map (order-free — min/max `combine` and the
-            // mask ORs are commutative), then apply in ascending destination
-            // order, exactly like the dense path's `iter_ones` walk.
-            for ws in worker_states.iter_mut() {
+            for ws in rest {
                 ws.sparse.for_each(|dst, value, mask| {
-                    let (slot, fresh) = merged_sparse.slot_for(dst, identity);
+                    let (slot, fresh) = first.sparse.slot_for(dst, identity);
                     if fresh {
-                        merged_sparse.values[slot] = value;
+                        first.sparse.values[slot] = value;
                     } else {
-                        merged_sparse.values[slot] =
-                            program.combine(merged_sparse.values[slot], value);
+                        first.sparse.values[slot] =
+                            program.combine(first.sparse.values[slot], value);
                     }
                     for (w, &m) in mask.iter().enumerate() {
-                        merged_sparse.masks[slot * mask_words + w] |= m;
+                        first.sparse.masks[slot * mask_words + w] |= m;
                     }
                 });
                 ws.sparse.clear();
             }
-            sparse_order.clear();
-            for (slot, &key) in merged_sparse.keys.iter().enumerate() {
-                if key != EMPTY_KEY {
-                    sparse_order.push((key, slot));
-                }
-            }
-            sparse_order.sort_unstable();
-            for &(dst, slot) in sparse_order.iter() {
+            first.sparse.for_each(|dst, value, mask| {
                 self.apply_merged_destination(
                     program,
                     iter,
                     tolerance,
                     dst as usize,
-                    merged_sparse.values[slot],
-                    &merged_sparse.masks[slot * mask_words..(slot + 1) * mask_words],
+                    value,
+                    mask,
+                    values,
+                    next_active,
+                    changed_this_iter,
+                    last_changed_iter,
+                    counters,
+                    merge_work_by_node,
+                )
+            });
+            first.sparse.clear();
+        } else {
+            for ws in rest {
+                for d in ws.touched.iter_ones() {
+                    let contribution = ws.local_values[d];
+                    if first.touched.insert(d) {
+                        first.local_values[d] = contribution;
+                    } else {
+                        first.local_values[d] =
+                            program.combine(first.local_values[d], contribution);
+                    }
+                    for w in d * mask_words..(d + 1) * mask_words {
+                        first.contrib_nodes[w] |= std::mem::take(&mut ws.contrib_nodes[w]);
+                    }
+                }
+                ws.touched.clear();
+            }
+            for d in first.touched.iter_ones() {
+                let masks = d * mask_words..(d + 1) * mask_words;
+                self.apply_merged_destination(
+                    program,
+                    iter,
+                    tolerance,
+                    d,
+                    first.local_values[d],
+                    &first.contrib_nodes[masks.clone()],
                     values,
                     next_active,
                     changed_this_iter,
@@ -2074,49 +1870,16 @@ impl<'g> SlfeEngine<'g> {
                     counters,
                     merge_work_by_node,
                 );
-            }
-            merged_sparse.clear();
-            return;
-        }
-
-        // Barrier, dense representation: combine the worker-local buffers once
-        // per destination...
-        for ws in worker_states.iter_mut() {
-            for d in ws.touched.iter_ones() {
-                let contribution = ws.local_values[d];
-                if merged_touched.insert(d) {
-                    merged_values[d] = contribution;
-                } else {
-                    merged_values[d] = program.combine(merged_values[d], contribution);
-                }
-                for w in 0..mask_words {
-                    merged_nodes[d * mask_words + w] |= ws.contrib_nodes[d * mask_words + w];
-                    ws.contrib_nodes[d * mask_words + w] = 0;
+                // An element loop, not `fill`: a per-destination `fill` of
+                // the empty mask range of a single-node cluster made this
+                // loop over 10x slower.
+                for w in masks {
+                    first.contrib_nodes[w] = 0;
                 }
             }
-            ws.touched.clear();
+            first.touched.clear();
         }
-        // ... then apply each destination exactly once.
-        for d in merged_touched.iter_ones() {
-            self.apply_merged_destination(
-                program,
-                iter,
-                tolerance,
-                d,
-                merged_values[d],
-                &merged_nodes[d * mask_words..(d + 1) * mask_words],
-                values,
-                next_active,
-                changed_this_iter,
-                last_changed_iter,
-                counters,
-                merge_work_by_node,
-            );
-            for w in 0..mask_words {
-                merged_nodes[d * mask_words + w] = 0;
-            }
-        }
-        merged_touched.clear();
+        rec.end(merge_span, "push_merge", "engine");
     }
 }
 
@@ -2432,11 +2195,23 @@ mod tests {
         assert!(result.converged);
     }
 
+    /// Every counter except the scratch footprint and the out-of-core I/O
+    /// statistics, which legitimately depend on the pool size and timing.
+    fn counted(c: Counters) -> Counters {
+        Counters {
+            scratch_bytes_peak: 0,
+            segments_faulted: 0,
+            segment_bytes_read: 0,
+            ..c
+        }
+    }
+
     #[test]
     fn parallel_workers_reproduce_single_worker_values_bit_for_bit() {
         // The determinism guarantee of the module docs: min/max values merge
         // through an idempotent combine, arithmetic gathers fold in fixed CSC
-        // order, so every worker count yields identical bits.
+        // order, and every phase runs the same chunked executor, so every
+        // worker count yields identical bits and identical counters.
         let g = generators::rmat(400, 3600, 0.57, 0.19, 0.19, 33);
         let root = slfe_graph::stats::highest_out_degree_vertex(&g).unwrap();
         for config in [EngineConfig::default(), EngineConfig::without_rr()] {
@@ -2461,6 +2236,11 @@ mod tests {
                 );
                 assert_eq!(sequential.stats.iterations, parallel.stats.iterations);
                 assert_eq!(sequential.converged, parallel.converged);
+                assert_eq!(
+                    counted(sequential.stats.totals),
+                    counted(parallel.stats.totals),
+                    "counters must be identical at {workers} workers"
+                );
             }
         }
 
@@ -2484,6 +2264,10 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>(),
             "arithmetic pull gathers fold in fixed CSC order"
+        );
+        assert_eq!(
+            counted(sequential.stats.totals),
+            counted(parallel.stats.totals)
         );
     }
 
@@ -2651,15 +2435,20 @@ mod tests {
     }
 
     #[test]
-    fn with_cluster_and_guidance_reuses_the_given_guidance() {
+    fn prebuilt_constructor_reuses_the_given_guidance() {
         let g = generators::rmat(200, 1400, 0.57, 0.19, 0.19, 8);
         let rrg = RrGuidance::generate(&g);
         let cluster = Cluster::build(&g, ClusterConfig::new(2, 1));
-        let engine = SlfeEngine::with_cluster_and_guidance(
+        let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
+        let layout = Arc::new(cluster.build_layout(&g));
+        let engine = SlfeEngine::with_prebuilt_layout_and_storage(
             &g,
             cluster,
             EngineConfig::default(),
-            rrg.clone(),
+            Arc::new(rrg.clone()),
+            pool,
+            layout,
+            None,
         );
         assert!(engine.guidance().guidance_eq(&rrg));
         assert_eq!(engine.preprocessing_wall_seconds(), 0.0);

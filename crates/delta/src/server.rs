@@ -396,22 +396,6 @@ where
             .unwrap_or((0, 0))
     }
 
-    /// Apply one edge-update batch *to the in-memory state only*: patch the
-    /// graph, warm re-converge the program, and account the batch-shipping
-    /// traffic. No write-ahead logging happens here — this is the path WAL
-    /// replay re-drives during recovery, and what [`DeltaServer::apply`] runs
-    /// after the batch is durably logged. Guidance maintenance is *lazy*: the
-    /// warm path never reads the rulers, so dirty vertices only accumulate
-    /// here and the repair runs when a cold run, snapshot, or guidance query
-    /// actually needs them.
-    ///
-    /// Panics on unrecoverable storage failure; use
-    /// [`DeltaServer::try_apply_committed`] for the typed-error contract.
-    pub fn apply_committed(&mut self, batch: &UpdateBatch) -> BatchOutcome {
-        self.try_apply_committed(batch)
-            .unwrap_or_else(|e| panic!("failed to apply a committed batch: {e}"))
-    }
-
     /// Run one engine pass over `graph` with the given artifacts; returns
     /// the program result and the batch-distribution message count.
     #[allow(clippy::too_many_arguments)]
@@ -488,13 +472,21 @@ where
         }
     }
 
-    /// [`DeltaServer::apply_committed`] with the graceful-degradation
-    /// contract: unreadable segments are retried, quarantined and rebuilt
-    /// in place; a segment store that can be neither patched nor rebuilt, or
-    /// an execution still poisoned after one re-drive on a fresh store,
-    /// flips the server read-only and returns a typed error — the previous
-    /// version's values keep serving untouched either way.
-    pub fn try_apply_committed(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
+    /// Apply one edge-update batch *to the in-memory state only*: patch the
+    /// graph, warm re-converge the program, and account the batch-shipping
+    /// traffic. No write-ahead logging happens here — this is the path WAL
+    /// replay re-drives during recovery, and what [`DeltaServer::try_apply`]
+    /// runs after the batch is durably logged. Guidance maintenance is
+    /// *lazy*: the warm path never reads the rulers, so dirty vertices only
+    /// accumulate here and the repair runs when a cold run, snapshot, or
+    /// guidance query actually needs them.
+    ///
+    /// Graceful degradation: unreadable segments are retried, quarantined
+    /// and rebuilt in place; a segment store that can be neither patched nor
+    /// rebuilt, or an execution still poisoned after one re-drive on a fresh
+    /// store, flips the server read-only and returns a typed error — the
+    /// previous version's values keep serving untouched either way.
+    fn try_apply_committed(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
         let start = Instant::now();
         let batch_span = self.telemetry.begin();
         // Batches arrive (and are WAL-logged) in external ids; translate the
@@ -1278,9 +1270,10 @@ where
     F: Fn(&Graph) -> P,
 {
     /// Apply one edge-update batch durably: append it to the write-ahead log
-    /// and fsync *first*, then run [`DeltaServer::apply_committed`], then
-    /// snapshot (and possibly compact the segment files) if the cadence says
-    /// so. On a non-durable server this is exactly `apply_committed`.
+    /// and fsync *first*, then apply it to the in-memory state (patch the
+    /// graph, warm re-converge the program), then snapshot (and possibly
+    /// compact the segment files) if the cadence says so. On a non-durable
+    /// server only the in-memory apply runs.
     ///
     /// Unrecoverable write-side failure panics — use
     /// [`DeltaServer::try_apply`] for the typed graceful-degradation

@@ -33,14 +33,12 @@ pub struct Counters {
     /// chunk cold (frontier-empty source chunk in push mode; fully rr-gated,
     /// in-edge-free, caught-up-and-quiescent, or fully early-converged
     /// destination chunk in pull mode). Skipping is deterministic — it
-    /// depends only on barrier-merged state — so this tally is identical at
-    /// every worker count *among the chunked global execution paths*
-    /// (`workers_per_node >= 2`, and pull phases at any worker count). The
-    /// one exception: `workers_per_node: 1` push phases take the historical
-    /// chunk-free sequential oracle path, which reports no skips at all.
+    /// depends only on barrier-merged state, and every phase runs over the
+    /// same chunk layout at every worker count — so this tally is identical
+    /// at every worker count, 1 included.
     pub chunks_skipped: u64,
     /// Peak bytes of push-mode gather scratch (per-worker dense buffers or
-    /// sparse contribution maps, plus the shared merge buffers) live at any
+    /// sparse contribution maps; the barrier merges into worker 0's) live at any
     /// iteration barrier inside this counter window. Unlike every other field
     /// this is a high-water mark, and merging it depends on how the two
     /// windows relate in *time*: [`Counters::merge_concurrent`] (windows live

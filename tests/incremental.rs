@@ -403,3 +403,100 @@ fn warm_start_saves_work_on_serving_sized_batches() {
         cold.stats.totals.work()
     );
 }
+
+/// Every counter except the scratch footprint and the out-of-core I/O
+/// statistics, which depend on the pool size and on timing.
+fn counted(c: slfe::metrics::Counters) -> slfe::metrics::Counters {
+    slfe::metrics::Counters {
+        scratch_bytes_peak: 0,
+        segments_faulted: 0,
+        segment_bytes_read: 0,
+        ..c
+    }
+}
+
+/// Cold run on `graph`, then a warm `run_from_effect` across `batch`, at
+/// nodes {1, 2} × workers {1, 2, 4}: both runs' values must equal
+/// `reference` on their graph, and every counted metric and iteration count
+/// must be identical at every worker count of a node count.
+fn check_worker_count_invariance<P, PF, R>(
+    graph: &Graph,
+    batch: &UpdateBatch,
+    make_program: PF,
+    reference: R,
+    app: AppKind,
+) where
+    P: GraphProgram<Value = f32>,
+    PF: Fn(&Graph) -> P,
+    R: Fn(&Graph) -> Vec<f32>,
+{
+    let (mutated, effect) = graph.apply_batch(batch);
+    let cold_expected = reference(graph);
+    let warm_expected = reference(&mutated);
+    for nodes in [1usize, 2] {
+        let mut first = None;
+        for workers in [1usize, 2, 4] {
+            let cluster = ClusterConfig::new(nodes, workers);
+            let cold = SlfeEngine::build(graph, cluster.clone(), EngineConfig::default())
+                .run(&make_program(graph));
+            let warm = SlfeEngine::build(&mutated, cluster, EngineConfig::default())
+                .run_from_effect(&make_program(&mutated), &cold, &effect);
+            assert!(cold.converged && warm.converged, "{app}: {nodes}x{workers}");
+            assert_bits_equal(&cold.values, &cold_expected, workers, app);
+            assert_bits_equal(&warm.values, &warm_expected, workers, app);
+            let observed = (
+                counted(cold.stats.totals),
+                cold.stats.iterations,
+                counted(warm.stats.totals),
+                warm.stats.iterations,
+            );
+            match &first {
+                None => first = Some(observed),
+                Some(expected) => assert_eq!(
+                    *expected, observed,
+                    "{app}: counters at {nodes} nodes x {workers} workers differ from 1 worker"
+                ),
+            }
+        }
+    }
+}
+
+/// One executor at every worker count: for every min/max app, cold runs and
+/// warm restarts produce the reference values and identical counters
+/// (work, updates, messages, chunk skips) at 1, 2 and 4 workers per node.
+#[test]
+fn minmax_counters_are_worker_count_invariant_cold_and_warm() {
+    let graph = generators::rmat(2000, 16_000, 0.57, 0.19, 0.19, 4600);
+    let sym = cc::symmetrize(&generators::rmat(1500, 6000, 0.57, 0.19, 0.19, 4610));
+    let root = slfe::graph::stats::highest_out_degree_vertex(&graph).unwrap();
+    let batch = mixed_batch(&graph, 4620, 60, true);
+    let sym_batch = symmetric_batch(&sym, 4630, 60);
+    check_worker_count_invariance(
+        &graph,
+        &batch,
+        |_| sssp::SsspProgram { root },
+        |g| sssp::reference(g, root),
+        AppKind::Sssp,
+    );
+    check_worker_count_invariance(
+        &graph,
+        &batch,
+        |_| bfs::BfsProgram { root },
+        |g| bfs::reference(g, root),
+        AppKind::Bfs,
+    );
+    check_worker_count_invariance(
+        &graph,
+        &batch,
+        |_| widestpath::WidestPathProgram { root },
+        |g| widestpath::reference(g, root),
+        AppKind::WidestPath,
+    );
+    check_worker_count_invariance(
+        &sym,
+        &sym_batch,
+        cc::CcProgram::for_graph,
+        cc::reference,
+        AppKind::ConnectedComponents,
+    );
+}

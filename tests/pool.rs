@@ -98,7 +98,7 @@ fn pool_executor_matches_sequential_results_at_four_workers() {
         .run(&slfe::apps::sssp::SsspProgram { root });
     assert_eq!(
         sequential.values, pooled.values,
-        "pool execution must stay bit-identical to the sequential oracle"
+        "pool execution must stay bit-identical to the inline 1-worker run"
     );
     assert_eq!(sequential.stats.iterations, pooled.stats.iterations);
     // The deterministic simulated schedule admits real cross-node parallelism.

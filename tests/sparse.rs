@@ -13,7 +13,7 @@ use slfe::metrics::{Counters, Mode};
 use slfe::prelude::ClusterConfig;
 
 /// Run `program` twice — dense scratch forced (`sparse_push_density = 0`) and
-/// sparse scratch forced (`> 1`) — and require bit-identical values (via
+/// sparse scratch forced (`f64::INFINITY`) — and require bit-identical values (via
 /// `compare`), identical counters (the scratch footprint aside) and identical
 /// per-node-pair message tallies.
 fn check_sparse_equals_dense<P, V, PF, C>(
@@ -34,8 +34,11 @@ fn check_sparse_equals_dense<P, V, PF, C>(
             cluster.clone(),
             config.clone().with_sparse_push_density(0.0),
         );
-        let sparse_engine =
-            SlfeEngine::build(graph, cluster, config.clone().with_sparse_push_density(2.0));
+        let sparse_engine = SlfeEngine::build(
+            graph,
+            cluster,
+            config.clone().with_sparse_push_density(f64::INFINITY),
+        );
         let dense = dense_engine.run(&make_program(graph));
         let sparse = sparse_engine.run(&make_program(graph));
         compare(&dense.values, &sparse.values, workers);
@@ -315,26 +318,53 @@ fn rulers_skip_whole_chunks_in_pull_phases() {
 }
 
 /// Chunk skipping and scratch representation are decided from barrier-merged
-/// state only, so `chunks_skipped` must be identical at every worker count.
-/// PageRank deliberately: it is pull-only, so every phase takes the chunked
-/// global path at every worker count. (Min/max apps are excluded by design —
-/// their `workers_per_node: 1` push phases run the chunk-free sequential
-/// oracle, which reports no skips; see `Counters::chunks_skipped`.)
+/// state only, and every phase runs the same chunked executor at every worker
+/// count, so `chunks_skipped` must be identical at 1, 2 and 4 workers — for
+/// the pull-only PageRank and for the min/max apps, whose runs mix push and
+/// pull phases.
 #[test]
 fn chunk_skip_tallies_are_worker_count_invariant() {
-    let graph = generators::layered(16, 300, 5, 4500);
-    let mut tallies = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let result = SlfeEngine::build(
-            &graph,
-            ClusterConfig::new(2, workers),
-            EngineConfig::default(),
-        )
-        .run(&pagerank::PageRankProgram::for_graph(&graph));
-        tallies.push(result.stats.totals.chunks_skipped);
+    fn tallies<P: GraphProgram>(graph: &Graph, program: &P) -> Vec<u64> {
+        [1usize, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                SlfeEngine::build(
+                    graph,
+                    ClusterConfig::new(2, workers),
+                    EngineConfig::default(),
+                )
+                .run(program)
+                .stats
+                .totals
+                .chunks_skipped
+            })
+            .collect()
     }
-    assert!(
-        tallies.windows(2).all(|w| w[0] == w[1]),
-        "chunks_skipped varies with worker count: {tallies:?}"
-    );
+    let graph = generators::layered(16, 300, 5, 4500);
+    let sym = cc::symmetrize(&graph);
+    for (app, skipped) in [
+        (
+            AppKind::PageRank,
+            tallies(&graph, &pagerank::PageRankProgram::for_graph(&graph)),
+        ),
+        (
+            AppKind::Sssp,
+            tallies(&graph, &sssp::SsspProgram { root: 0 }),
+        ),
+        (AppKind::Bfs, tallies(&graph, &bfs::BfsProgram { root: 0 })),
+        (
+            AppKind::ConnectedComponents,
+            tallies(&sym, &cc::CcProgram::for_graph(&sym)),
+        ),
+        (
+            AppKind::WidestPath,
+            tallies(&graph, &widestpath::WidestPathProgram { root: 0 }),
+        ),
+    ] {
+        assert!(
+            skipped.windows(2).all(|w| w[0] == w[1]),
+            "{app}: chunks_skipped varies with worker count: {skipped:?}"
+        );
+        assert!(skipped[0] > 0, "{app}: no chunk skipped at all");
+    }
 }
